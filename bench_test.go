@@ -223,8 +223,9 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 
 // BenchmarkCacheHit guards the content-addressed result cache's hot path: a
 // repeated Decompose on an Engine with WithResultCache is served from disk —
-// key derivation (one sha256 pass over the serialized tensor), one cached-file
-// read, checksum verification, and result decode, but never the method.
+// key derivation (one TensorDigest pass over the tensor's payload, since an
+// in-process caller supplies no Job.TensorDigest), one cached-file read,
+// checksum verification, and result decode, but never the method.
 // scripts/benchsmoke.sh budgets both allocs/op and latency; the counter check
 // below makes a silently-bypassed cache a hard failure rather than a bench of
 // the wrong path.
@@ -253,6 +254,31 @@ func BenchmarkCacheHit(b *testing.B) {
 		b.Fatalf("cache did not serve the loop: %d hits, %d misses", hits, misses)
 	}
 }
+
+// BenchmarkTensorDigest measures the single sha256 pass behind every cache
+// key and service tensor_id, on a ≈38 MB irregular tensor (the size of the
+// stock benchmark workload); SetBytes makes it report MB/s. Throughput is
+// host-dependent, so scripts/benchsmoke.sh checks only that it runs.
+func BenchmarkTensorDigest(b *testing.B) {
+	g := rng.New(51)
+	slices := make([]*mat.Dense, 120)
+	for k := range slices {
+		m := mat.New(150+5*k, 88)
+		for i := range m.Data {
+			m.Data[i] = g.Norm()
+		}
+		slices[k] = m
+	}
+	ten := tensor.MustIrregular(slices)
+	b.SetBytes(ten.SizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDigest = TensorDigest(ten)
+	}
+}
+
+var benchDigest [32]byte
 
 // --- Fig. 1: total running time per method (trade-off) -------------------
 

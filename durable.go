@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -81,24 +80,32 @@ func (e *Engine) CacheCounters() (hits, misses uint64) {
 	return e.cache.Counters()
 }
 
+// TensorDigest returns the sha256 of t's canonical DPT2 payload (the bytes
+// of a DPT2 tensor file before its checksum trailer, see docs/DURABILITY.md):
+// the tensor's content identity. The result cache keys on it, and the HTTP
+// service derives tensor IDs from it, so a caller that already holds the
+// digest of an immutable tensor can pass it as Job.TensorDigest instead of
+// paying for a second pass over the input.
+func TensorDigest(t *Irregular) [32]byte { return dataio.TensorDigest(t) }
+
 // resultCacheKey derives the cache key for one decomposition, or reports the
 // call uncacheable: caching is off, a Progress callback must run, or a
 // convergence trace was requested (the trace is not serialized). The key is
 // a sha256 over a format tag, the method name, the request's canonical Spec
 // (every deterministic knob, with ShardRows resolved to its effective
-// threshold), and a digest of the tensor's serialized content — so any
-// change to input data or to a result-affecting parameter misses, while
-// Threads/Pool (which never change the computed bits) do not split the
-// cache. Because the key reads only the Spec, an HTTP request resolved to
-// the same Spec (internal/service) hits the same entry as the equivalent
-// in-process call.
-func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (string, bool) {
+// threshold), and the tensor's TensorDigest — so any change to input data or
+// to a result-affecting parameter misses, while Threads/Pool (which never
+// change the computed bits) do not split the cache. Because the key reads
+// only the Spec, an HTTP request resolved to the same Spec
+// (internal/service) hits the same entry as the equivalent in-process call.
+// A non-zero digest is trusted as t's TensorDigest (see Job.TensorDigest);
+// a zero one is computed here.
+func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, digest [32]byte, js jobSpec) (string, bool) {
 	if e.cache == nil || js.run.progress != nil || js.run.trackConvergence {
 		return "", false
 	}
-	th := sha256.New()
-	if err := dataio.WriteTensor(th, t); err != nil {
-		return "", false
+	if digest == ([32]byte{}) {
+		digest = dataio.TensorDigest(t)
 	}
 	spec := js.spec
 	var knobs [9 * 8]byte
@@ -116,10 +123,10 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (st
 		binary.LittleEndian.PutUint64(knobs[i*8:], v)
 	}
 	return state.Key(
-		[]byte("repro:result-cache:v1"),
+		[]byte("repro:result-cache:v2"),
 		[]byte(m.Name()),
 		knobs[:],
-		th.Sum(nil),
+		digest[:],
 	), true
 }
 
@@ -165,8 +172,14 @@ func (e *Engine) cacheLookup(key string) (*Result, bool) {
 
 // cacheStore persists a successful result. Best-effort: a full disk or
 // unwritable cache directory must not fail the decomposition that produced
-// the result, so the error is dropped (the next lookup simply misses).
+// the result, so the error is dropped (the next lookup simply misses). A
+// result whose fitness is not finite (NaN or Inf input, numerical breakdown)
+// is never stored: a repeat of the call must recompute, not replay the
+// failure as a hit.
 func (e *Engine) cacheStore(key string, res *Result) {
+	if math.IsNaN(res.Fitness) || math.IsInf(res.Fitness, 0) {
+		return
+	}
 	_ = e.cache.Put(key, func(w io.Writer) error {
 		var hdr [cacheHdrWords * 8]byte
 		binary.LittleEndian.PutUint64(hdr[0:], math.Float64bits(res.Fitness))

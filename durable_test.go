@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -208,6 +209,103 @@ func TestEngineCachePersistsAcrossEngines(t *testing.T) {
 	resultsEqualBits(t, first, second)
 	if hits, _ := eng2.CacheCounters(); hits != 1 {
 		t.Fatalf("second engine hits = %d, want 1", hits)
+	}
+}
+
+// TestEngineCacheSkipsNonFiniteResults: a decomposition whose fitness is NaN
+// (one NaN input entry poisons every factor) is never stored, so a repeat
+// recomputes instead of replaying the failure as a hit.
+func TestEngineCacheSkipsNonFiniteResults(t *testing.T) {
+	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	defer eng.Close()
+	ten := engineTestTensor(14)
+	ten.Slices[1].Data[7] = math.NaN()
+	for i := 0; i < 2; i++ {
+		res, err := eng.Decompose(context.Background(), ten)
+		if err == nil && !math.IsNaN(res.Fitness) && !math.IsInf(res.Fitness, 0) {
+			t.Fatalf("run %d: NaN input gave finite fitness %v", i, res.Fitness)
+		}
+	}
+	if hits, misses := eng.CacheCounters(); hits != 0 || misses != 2 {
+		t.Fatalf("CacheCounters = (%d, %d), want (0, 2)", hits, misses)
+	}
+}
+
+// TestEngineCacheKeysOnSuppliedDigest: a non-zero Job.TensorDigest is what
+// the lookup keys on — the right digest hits, a wrong one misses (so the
+// Engine did not re-hash the tensor), and a zero one hits through the
+// computed digest.
+func TestEngineCacheKeysOnSuppliedDigest(t *testing.T) {
+	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	defer eng.Close()
+	ctx := context.Background()
+	ten := engineTestTensor(15)
+	if _, err := eng.Decompose(ctx, ten); err != nil {
+		t.Fatal(err)
+	}
+	wrong := TensorDigest(ten)
+	wrong[0] ^= 1
+	for _, tc := range []struct {
+		name   string
+		digest [32]byte
+		hit    bool
+	}{
+		{"supplied digest", TensorDigest(ten), true},
+		{"wrong digest", wrong, false},
+		{"zero digest", [32]byte{}, true},
+	} {
+		hits0, misses0 := eng.CacheCounters()
+		jr := <-eng.Submit(ctx, Job{Tensor: ten, TensorDigest: tc.digest})
+		if jr.Err != nil {
+			t.Fatalf("%s: %v", tc.name, jr.Err)
+		}
+		hits, misses := eng.CacheCounters()
+		if got := hits-hits0 == 1 && misses == misses0; got != tc.hit {
+			t.Fatalf("%s: hit = %v, want %v (hits %d→%d, misses %d→%d)",
+				tc.name, got, tc.hit, hits0, hits, misses0, misses)
+		}
+	}
+}
+
+// TestEngineLeavesInputDigestUnchanged pins the invariant Job.TensorDigest
+// reuse relies on: no registered method run through Engine.Decompose, and
+// neither NewStream nor Absorb, mutates the tensor it was handed.
+func TestEngineLeavesInputDigestUnchanged(t *testing.T) {
+	eng := NewEngine(WithBaseConfig(engineTestConfig()))
+	defer eng.Close()
+	ctx := context.Background()
+	ten := engineTestTensor(16)
+	want := TensorDigest(ten)
+	for _, name := range Methods() {
+		if _, err := eng.Decompose(ctx, ten, WithMethod(MethodID(name))); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if TensorDigest(ten) != want {
+			t.Fatalf("%s changed its input tensor", name)
+		}
+	}
+
+	initial, err := NewIrregular(ten.Slices[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := NewIrregular(ten.Slices[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInitial, wantBatch := TensorDigest(initial), TensorDigest(batch)
+	stream, err := eng.NewStream(ctx, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if TensorDigest(initial) != wantInitial {
+		t.Fatal("NewStream changed its initial tensor")
+	}
+	if err := stream.AbsorbCtx(ctx, batch.Slices); err != nil {
+		t.Fatal(err)
+	}
+	if TensorDigest(initial) != wantInitial || TensorDigest(batch) != wantBatch {
+		t.Fatal("Absorb changed the initial tensor or its batch")
 	}
 }
 

@@ -269,7 +269,7 @@ func WithStateDir(dir string) EngineOption {
 
 // WithResultCache enables the content-addressed result cache: Decompose and
 // Submit consult it before running a method and populate it after a
-// successful run, keyed by a sha256 of the tensor's content plus every
+// successful run, keyed by the tensor's TensorDigest plus every
 // deterministic knob (method, rank, seed, iteration budget, sketch
 // parameters — see docs/DURABILITY.md). Entries are persisted atomically
 // under the WithStateDir root — which must also be configured, or NewEngine
@@ -452,15 +452,16 @@ func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*
 	if e.isClosed() {
 		return nil, ErrEngineClosed
 	}
-	return e.decompose(ctx, t, opts, "")
+	return e.decompose(ctx, t, [32]byte{}, opts, "")
 }
 
 // decompose is Decompose without the closed check — the path drained jobs
 // take after Close has begun. prepare would re-reject those, so its closed
 // check is skipped by construction: a drained job was accepted before Close.
 // tenant attributes cache hit/miss events (Decompose passes the default
-// bucket, runJob the job's tenant).
-func (e *Engine) decompose(ctx context.Context, t *Irregular, opts []Option, tenant string) (*Result, error) {
+// bucket, runJob the job's tenant); digest is the caller-supplied
+// Job.TensorDigest, zero when the cache key must hash t itself.
+func (e *Engine) decompose(ctx context.Context, t *Irregular, digest [32]byte, opts []Option, tenant string) (*Result, error) {
 	if t == nil {
 		return nil, errors.New("repro: Decompose with nil tensor")
 	}
@@ -468,7 +469,7 @@ func (e *Engine) decompose(ctx context.Context, t *Irregular, opts []Option, ten
 	if err != nil {
 		return nil, err
 	}
-	key, cacheable := e.resultCacheKey(m, t, js)
+	key, cacheable := e.resultCacheKey(m, t, digest, js)
 	if cacheable {
 		if res, ok := e.cacheLookup(key); ok {
 			e.noteCache(tenant, true)
@@ -570,6 +571,16 @@ type Job struct {
 	// WHEN a job runs, never what it computes — results are bit-identical
 	// for a fixed tensor and options at any priority and any queue state.
 	Priority int
+
+	// TensorDigest, when non-zero, stands in for TensorDigest(Tensor) in the
+	// result-cache key, so the Engine does not hash the input again. The
+	// zero value means "compute it". A value other than the tensor's current
+	// digest makes the cache serve the entry of whatever tensor does have
+	// that digest — a wrong result — so set it only as the owner of a tensor
+	// that never changes after it was hashed (the HTTP service's
+	// content-addressed store is the one such caller). Ignored when the
+	// Engine has no result cache.
+	TensorDigest [32]byte
 }
 
 // JobResult is the outcome of one submitted Job. Exactly one of Result/Err
@@ -638,6 +649,6 @@ func (e *Engine) runJob(pj pendingJob) JobResult {
 	if err := pj.ctx.Err(); err != nil {
 		return JobResult{Tag: pj.job.Tag, Err: err}
 	}
-	res, err := e.decompose(pj.ctx, pj.job.Tensor, pj.job.Options, pj.job.Tenant)
+	res, err := e.decompose(pj.ctx, pj.job.Tensor, pj.job.TensorDigest, pj.job.Options, pj.job.Tenant)
 	return JobResult{Tag: pj.job.Tag, Result: res, Err: err}
 }

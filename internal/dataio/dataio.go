@@ -30,6 +30,7 @@ package dataio
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,11 +96,7 @@ func WriteTensor(w io.Writer, t *tensor.Irregular) error {
 	if _, err := sw.Write([]byte(tensorMagic)); err != nil {
 		return err
 	}
-	header := []uint64{tensorVersion, uint64(t.K()), uint64(t.J)}
-	for _, s := range t.Slices {
-		header = append(header, uint64(s.Rows))
-	}
-	if err := writeUints(sw, header); err != nil {
+	if err := writeUints(sw, tensorHeader(t)); err != nil {
 		return err
 	}
 	for _, s := range t.Slices {
@@ -111,6 +108,43 @@ func WriteTensor(w io.Writer, t *tensor.Irregular) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// tensorHeader is the DPT2 header that follows the magic: version, K, J,
+// then the slice heights I_1..I_K.
+func tensorHeader(t *tensor.Irregular) []uint64 {
+	header := []uint64{tensorVersion, uint64(t.K()), uint64(t.J)}
+	for _, s := range t.Slices {
+		header = append(header, uint64(s.Rows))
+	}
+	return header
+}
+
+// TensorDigest is the module's one tensor identity: the sha256 of t's
+// canonical DPT2 payload — magic, header, then every entry's little-endian
+// float bits — exactly the bytes WriteTensor writes before its checksum
+// trailer, hashed in a single pass through one reused chunk buffer. Tensors
+// that decode from different byte streams but hold the same shape and bits
+// share a digest; any change of shape or of a single bit (−0 vs +0, one NaN
+// payload vs another) changes it.
+func TensorDigest(t *tensor.Irregular) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte(tensorMagic))
+	_ = writeUints(h, tensorHeader(t)) // hash.Hash.Write never fails
+	buf := make([]byte, 8*floatChunk)
+	for _, s := range t.Slices {
+		for data := s.Data; len(data) > 0; {
+			n := min(len(data), floatChunk)
+			for i, v := range data[:n] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+			}
+			h.Write(buf[:8*n])
+			data = data[n:]
+		}
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // ReadTensor deserializes a tensor written by WriteTensor, verifying the

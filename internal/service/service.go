@@ -356,13 +356,11 @@ func (s *Server) handleTensorUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err) // *dataio.CorruptError → 400
 		return
 	}
+	// Hash outside the lock: the digest is one pass over the whole input.
+	digest := repro.TensorDigest(t)
 	s.mu.Lock()
-	info, err := s.tensors.put(t)
+	info := s.tensors.put(t, digest)
 	s.mu.Unlock()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -378,8 +376,8 @@ func (s *Server) handleTensorGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st.info)
 }
 
-// lookupTensor resolves a request's tensor id.
-func (s *Server) lookupTensor(id string) (*repro.Irregular, error) {
+// lookupTensor resolves a request's tensor id to its stored entry.
+func (s *Server) lookupTensor(id string) (*storedTensor, error) {
 	if id == "" {
 		return nil, apiErrf(CodeBadRequest, http.StatusBadRequest, "tensor_id is required")
 	}
@@ -389,17 +387,18 @@ func (s *Server) lookupTensor(id string) (*repro.Irregular, error) {
 	if !ok {
 		return nil, errNotFound("tensor", id)
 	}
-	return st.tensor, nil
+	return st, nil
 }
 
 // ----- decomposition ---------------------------------------------------------
 
-// resolveRequest turns a DecomposeRequest into the tensor it names and the
-// canonical Spec it resolves to — the same resolution an in-process
+// resolveRequest turns a DecomposeRequest into the stored tensor it names
+// (the tensor plus the digest computed at upload, from one locked lookup)
+// and the canonical Spec it resolves to — the same resolution an in-process
 // Engine.Decompose would perform, done eagerly so invalid parameters are a
 // 400 before any queueing.
-func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*repro.Irregular, repro.Spec, error) {
-	t, err := s.lookupTensor(tensorID)
+func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*storedTensor, repro.Spec, error) {
+	st, err := s.lookupTensor(tensorID)
 	if err != nil {
 		return nil, repro.Spec{}, err
 	}
@@ -410,7 +409,7 @@ func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*repro.Irregul
 		}
 		return nil, repro.Spec{}, apiErrf(CodeBadRequest, http.StatusBadRequest, "invalid spec: %v", err)
 	}
-	return t, spec, nil
+	return st, spec, nil
 }
 
 // encodeResult serializes a result to DPF2 bytes.
@@ -433,7 +432,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	t, spec, err := s.resolveRequest(req.TensorID, req.Spec)
+	st, spec, err := s.resolveRequest(req.TensorID, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -445,10 +444,11 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	jr := <-s.eng.Submit(ctx, repro.Job{
-		Tensor:   t,
-		Options:  []repro.Option{repro.WithSpec(spec)},
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
+		Tensor:       st.tensor,
+		TensorDigest: st.digest,
+		Options:      []repro.Option{repro.WithSpec(spec)},
+		Tenant:       req.Tenant,
+		Priority:     req.Priority,
 	})
 	if jr.Err != nil {
 		writeError(w, jr.Err)
@@ -504,7 +504,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	t, spec, err := s.resolveRequest(req.TensorID, req.Spec)
+	st, spec, err := s.resolveRequest(req.TensorID, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -517,10 +517,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		jobCtx, cancel = context.WithCancel(context.Background())
 	}
 	ch := s.eng.Submit(jobCtx, repro.Job{
-		Tensor:   t,
-		Options:  []repro.Option{repro.WithSpec(spec)},
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
+		Tensor:       st.tensor,
+		TensorDigest: st.digest,
+		Options:      []repro.Option{repro.WithSpec(spec)},
+		Tenant:       req.Tenant,
+		Priority:     req.Priority,
 	})
 
 	rec := &jobRec{id: s.nextID("job"), tenant: req.Tenant, spec: spec, cancel: cancel, status: JobPending}
@@ -649,7 +650,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	t, spec, err := s.resolveRequest(req.TensorID, req.Spec)
+	stored, spec, err := s.resolveRequest(req.TensorID, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -687,7 +688,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 	}
 
-	st, err := s.eng.NewStream(r.Context(), t, repro.WithSpec(spec))
+	st, err := s.eng.NewStream(r.Context(), stored.tensor, repro.WithSpec(spec))
 	if err != nil {
 		if errors.Is(err, repro.ErrEngineClosed) || isCtxErr(err, r.Context()) {
 			fail(err)
@@ -752,11 +753,11 @@ func (s *Server) absorbSlices(r *http.Request) ([]*repro.Matrix, error) {
 		if err := decodeJSON(r, &req); err != nil {
 			return nil, err
 		}
-		t, err := s.lookupTensor(req.TensorID)
+		st, err := s.lookupTensor(req.TensorID)
 		if err != nil {
 			return nil, err
 		}
-		return t.Slices, nil
+		return st.tensor.Slices, nil
 	}
 	t, err := dataio.ReadTensor(r.Body)
 	if err != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -141,15 +142,7 @@ func TestAsyncJobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500 && job.Status == JobPending; i++ {
-		time.Sleep(10 * time.Millisecond)
-		if job, err = ts.client.JobStatus(ctx, job.JobID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if job.Status != JobDone {
-		t.Fatalf("job stuck in %q", job.Status)
-	}
+	job = waitJob(t, ts.client, job)
 	if job.Spec != sync.Spec {
 		t.Fatalf("job spec %+v, want %+v", job.Spec, sync.Spec)
 	}
@@ -545,6 +538,78 @@ func TestTensorStoreContentAddressedAndEvicting(t *testing.T) {
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Body.Code != CodeNotFound {
 		t.Fatalf("evicted tensor still served: %v", err)
+	}
+}
+
+// waitJob polls a job until it leaves the pending state.
+func waitJob(t *testing.T, c *Client, job JobStatus) JobStatus {
+	t.Helper()
+	var err error
+	for i := 0; i < 500 && job.Status == JobPending; i++ {
+		time.Sleep(10 * time.Millisecond)
+		if job, err = c.JobStatus(context.Background(), job.JobID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if job.Status != JobDone {
+		t.Fatalf("job %s ended %q", job.JobID, job.Status)
+	}
+	return job
+}
+
+// TestRepeatedRequestsHitWithUploadDigest: the tensor_id is the upload's
+// TensorDigest, and after one upload both /v1/decompose and /v1/jobs are
+// served from the result cache keyed on that stored digest — swapping the
+// stored digest turns the same requests into misses, so the Engine is not
+// hashing the tensor again.
+func TestRepeatedRequestsHitWithUploadDigest(t *testing.T) {
+	ts := newTestServer(t, Config{}, repro.WithEngineThreads(1),
+		repro.WithStateDir(t.TempDir()), repro.WithResultCache(1<<24))
+	ctx := context.Background()
+	ten := testTensor(64)
+	info, err := ts.client.UploadTensor(ctx, ten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := repro.TensorDigest(ten)
+	if want := "t-" + hex.EncodeToString(digest[:16]); info.TensorID != want {
+		t.Fatalf("tensor_id %s, want %s", info.TensorID, want)
+	}
+	req := DecomposeRequest{TensorID: info.TensorID, Spec: SpecRequest{Rank: intp(4), MaxIters: intp(6)}}
+	if _, _, err := ts.client.Decompose(ctx, req); err != nil { // the one miss
+		t.Fatal(err)
+	}
+	decompose := func() {
+		t.Helper()
+		if _, _, err := ts.client.Decompose(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit := func() {
+		t.Helper()
+		job, err := ts.client.SubmitJob(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, ts.client, job)
+	}
+	for i := 0; i < 3; i++ {
+		decompose()
+		submit()
+	}
+	if hits, misses := ts.eng.CacheCounters(); hits != 6 || misses != 1 {
+		t.Fatalf("CacheCounters = (%d, %d), want (6, 1)", hits, misses)
+	}
+
+	// Each request after a swap misses: it keyed on the swapped digest.
+	for i, send := range []func(){submit, decompose} {
+		ts.srv.mu.Lock()
+		ts.srv.tensors.byID[info.TensorID].digest[i] ^= 1
+		ts.srv.mu.Unlock()
+		send()
+	}
+	if hits, misses := ts.eng.CacheCounters(); hits != 6 || misses != 3 {
+		t.Fatalf("after swapping the stored digest: CacheCounters = (%d, %d), want (6, 3)", hits, misses)
 	}
 }
 

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"repro"
-	"repro/internal/dataio"
 )
 
 // This file is the server's in-memory resource tables. All three are plain
@@ -16,15 +13,18 @@ import (
 
 // ----- tensors ---------------------------------------------------------------
 
-// storedTensor is one uploaded tensor: the parsed form plus its wire info.
+// storedTensor is one uploaded tensor: the parsed form, its TensorDigest
+// (computed once at upload; the tensor is never mutated afterwards, so the
+// digest stays valid for Job.TensorDigest), and its wire info.
 type storedTensor struct {
 	tensor *repro.Irregular
+	digest [32]byte
 	info   TensorInfo
 }
 
 // tensorStore is a content-addressed tensor table with LRU eviction by
-// count. Uploads are idempotent: the ID is the sha256 of the canonical DPT2
-// serialization, so the same tensor re-uploaded lands on the same entry.
+// count. Uploads are idempotent: the ID derives from the tensor's
+// TensorDigest, so the same tensor re-uploaded lands on the same entry.
 type tensorStore struct {
 	max     int
 	byID    map[string]*storedTensor
@@ -36,27 +36,19 @@ func newTensorStore(max int) *tensorStore {
 	return &tensorStore{max: max, byID: make(map[string]*storedTensor)}
 }
 
-// tensorID derives the content address of a parsed tensor. The canonical
-// serialization (not the uploaded bytes) is hashed, so any byte stream that
-// decodes to the same tensor gets the same ID.
-func tensorID(t *repro.Irregular) (string, error) {
-	h := sha256.New()
-	if err := dataio.WriteTensor(h, t); err != nil {
-		return "", fmt.Errorf("service: hash tensor: %w", err)
-	}
-	return "t-" + hex.EncodeToString(h.Sum(nil)[:16]), nil
+// tensorID derives the content address of a tensor from its digest: "t-"
+// plus the hex of the digest's first 16 bytes.
+func tensorID(digest [32]byte) string {
+	return "t-" + hex.EncodeToString(digest[:16])
 }
 
-// put inserts (or refreshes) a tensor and returns its info, evicting the
-// least-recently-used entries beyond the cap.
-func (ts *tensorStore) put(t *repro.Irregular) (TensorInfo, error) {
-	id, err := tensorID(t)
-	if err != nil {
-		return TensorInfo{}, err
-	}
+// put inserts (or refreshes) a tensor whose TensorDigest is digest and
+// returns its info, evicting the least-recently-used entries beyond the cap.
+func (ts *tensorStore) put(t *repro.Irregular, digest [32]byte) TensorInfo {
+	id := tensorID(digest)
 	if st, ok := ts.byID[id]; ok {
 		ts.touch(id)
-		return st.info, nil
+		return st.info
 	}
 	info := TensorInfo{
 		TensorID: id,
@@ -66,7 +58,7 @@ func (ts *tensorStore) put(t *repro.Irregular) (TensorInfo, error) {
 		Elements: int64(t.NumElements()),
 		Bytes:    t.SizeBytes(),
 	}
-	ts.byID[id] = &storedTensor{tensor: t, info: info}
+	ts.byID[id] = &storedTensor{tensor: t, digest: digest, info: info}
 	ts.order = append(ts.order, id)
 	for len(ts.order) > ts.max {
 		victim := ts.order[0]
@@ -74,7 +66,7 @@ func (ts *tensorStore) put(t *repro.Irregular) (TensorInfo, error) {
 		delete(ts.byID, victim)
 		ts.evicted++
 	}
-	return info, nil
+	return info
 }
 
 // get looks a tensor up and marks it recently used.

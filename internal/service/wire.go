@@ -84,8 +84,9 @@ func (p SpecRequest) Options() []repro.Option {
 }
 
 // TensorInfo describes one uploaded tensor. The ID is content-addressed
-// (sha256 of the canonical DPT2 serialization), so re-uploading the same
-// tensor — in any accepted encoding — yields the same ID.
+// ("t-" plus the hex of the first 16 bytes of repro.TensorDigest), so
+// re-uploading the same tensor — in any accepted encoding — yields the same
+// ID.
 type TensorInfo struct {
 	TensorID string `json:"tensor_id"`
 	K        int    `json:"k"`

@@ -28,6 +28,9 @@
 #     the queue-wait budget, or a priority inversion (high-priority jobs
 #     waiting longer than the low-priority backlog they are meant to
 #     overtake);
+#   - BenchmarkTensorDigest (the one sha256 pass behind every cache key and
+#     service tensor_id) is missing or reports no MB/s — a presence check
+#     only, with no budget, because hashing throughput depends on the host;
 #   - a result-cache hit (BenchmarkCacheHit: key hash + cached-file read +
 #     checksum verify + decode, never the method) regresses above its
 #     allocation or latency budget (~105 allocs / ~0.9ms measured when the
@@ -55,7 +58,7 @@ batch_budget="${4:-8}"
 cachehit_budget="${5:-300}"
 cachems_budget="${6:-25}"
 svc_budget="${7:-250}"
-out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit)$' -benchtime 2x -benchmem .)
+out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit|BenchmarkTensorDigest)$' -benchtime 2x -benchmem .)
 $(go test -run '^$' -bench '^BenchmarkServiceDecomposeRoundTrip$' -benchtime 2x -benchmem ./internal/service/)"
 echo "$out"
 
@@ -141,6 +144,11 @@ $1 ~ /^BenchmarkCacheHit(-[0-9]+)?$/ {
         bad = 1
     }
 }
+$1 ~ /^BenchmarkTensorDigest(-[0-9]+)?$/ {
+    seen["BenchmarkTensorDigest"] = 1
+    mbs = require(metric("MB/s"), "MB/s")
+    printf "benchsmoke: %s %.0f MB/s (presence only, no budget)\n", $1, mbs
+}
 $1 ~ /^BenchmarkServiceDecomposeRoundTrip(-[0-9]+)?$/ {
     seen["BenchmarkServiceDecomposeRoundTrip"] = 1
     overhead = require(metric("overhead-ms"), "overhead-ms")
@@ -171,7 +179,7 @@ $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
 END {
     # Every guarded benchmark must have produced a parseable result line:
     # a rename or an empty run is a hard failure, not a silent skip.
-    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkServiceDecomposeRoundTrip", want, " ")
+    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkTensorDigest BenchmarkServiceDecomposeRoundTrip", want, " ")
     for (i = 1; i <= n; i++) {
         present = (want[i] in seen)
         gatejson("present", want[i], present ? 1 : 0, 1, present)
