@@ -66,10 +66,24 @@ func BenchmarkDPar2(b *testing.B) {
 	b.ReportMetric(fit, "fitness")
 }
 
-// BenchmarkDPar2IterationAllocs isolates the ALS iteration phase on a fixed
-// compressed tensor so allocs/op ÷ iterations gives allocations per ALS
-// iteration (the budget the workspace arena is accountable for).
-func BenchmarkDPar2IterationAllocs(b *testing.B) {
+// BenchmarkDPar2Compress times the compression phase alone (stage-1
+// sketches and the stage-2 merge) on BenchmarkDPar2's tensor and config.
+func BenchmarkDPar2Compress(b *testing.B) {
+	ten := benchTensor(1)
+	cfg := benchConfig(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var comp *parafac2.Compressed
+	for i := 0; i < b.N; i++ {
+		comp = parafac2.Compress(ten, cfg)
+	}
+	b.ReportMetric(float64(comp.SizeBytes()), "compressed-bytes")
+}
+
+// benchIterate times the iteration phase alone — DPar2FromCompressed on
+// BenchmarkDPar2's tensor, compressed once outside the timer — and returns
+// the ALS iteration count of one run.
+func benchIterate(b *testing.B) int {
 	ten := benchTensor(1)
 	cfg := benchConfig(10)
 	cfg.Tol = 0
@@ -85,6 +99,20 @@ func BenchmarkDPar2IterationAllocs(b *testing.B) {
 		iters = res.Iters
 	}
 	b.ReportMetric(float64(iters), "als-iters")
+	return iters
+}
+
+// BenchmarkDPar2IterationAllocs isolates the ALS iteration phase on a fixed
+// compressed tensor so allocs/op ÷ iterations gives allocations per ALS
+// iteration (the budget the workspace arena is accountable for).
+func BenchmarkDPar2IterationAllocs(b *testing.B) { benchIterate(b) }
+
+// BenchmarkDPar2Iterate is the iteration-phase timing bench: with
+// BenchmarkDPar2Compress it splits BenchmarkDPar2 by phase (the rest is the
+// true-fitness pass), and iter-ms is the time of one ALS iteration.
+func BenchmarkDPar2Iterate(b *testing.B) {
+	iters := benchIterate(b)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*iters), "iter-ms")
 }
 
 // BenchmarkDPar2TallSlice guards the sharded stage-1 path: the tallest slice

@@ -123,7 +123,7 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, digest [32]byte
 		binary.LittleEndian.PutUint64(knobs[i*8:], v)
 	}
 	return state.Key(
-		[]byte("repro:result-cache:v2"),
+		[]byte("repro:result-cache:v3"),
 		[]byte(m.Name()),
 		knobs[:],
 		digest[:],

@@ -47,48 +47,41 @@ func Cholesky(a *mat.Dense) (*mat.Dense, error) {
 // SolveCholesky solves A X = B given the Cholesky factor L of A, via two
 // triangular solves. B is n×m; the result is n×m.
 func SolveCholesky(l, b *mat.Dense) *mat.Dense {
-	n := l.Rows
-	m := b.Cols
-	// Forward substitution: L Y = B.
-	y := b.Clone()
-	for i := 0; i < n; i++ {
-		li := l.Row(i)
-		yi := y.Row(i)
-		for k := 0; k < i; k++ {
-			lik := li[k]
-			if lik == 0 {
-				continue
-			}
-			yk := y.Row(k)
-			for c := 0; c < m; c++ {
-				yi[c] -= lik * yk[c]
-			}
+	x := b.Clone()
+	col := make([]float64, x.Rows)
+	for c := 0; c < x.Cols; c++ {
+		for i := range col {
+			col[i] = x.At(i, c)
 		}
-		inv := 1 / li[i]
-		for c := 0; c < m; c++ {
-			yi[c] *= inv
-		}
-	}
-	// Back substitution: Lᵀ X = Y.
-	x := y
-	for i := n - 1; i >= 0; i-- {
-		xi := x.Row(i)
-		for k := i + 1; k < n; k++ {
-			lki := l.At(k, i)
-			if lki == 0 {
-				continue
-			}
-			xk := x.Row(k)
-			for c := 0; c < m; c++ {
-				xi[c] -= lki * xk[c]
-			}
-		}
-		inv := 1 / l.At(i, i)
-		for c := 0; c < m; c++ {
-			xi[c] *= inv
+		cholSolveVec(l, col)
+		for i, v := range col {
+			x.Set(i, c, v)
 		}
 	}
 	return x
+}
+
+// cholSolveVec overwrites y with the solution of L Lᵀ x = y: forward
+// substitution L z = y, then back substitution Lᵀ x = z.
+func cholSolveVec(l *mat.Dense, y []float64) {
+	n := l.Rows
+	for i := 0; i < n; i++ {
+		li := l.Row(i)
+		for k := 0; k < i; k++ {
+			if lik := li[k]; lik != 0 {
+				y[i] -= lik * y[k]
+			}
+		}
+		y[i] *= 1 / li[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		for k := i + 1; k < n; k++ {
+			if lki := l.At(k, i); lki != 0 {
+				y[i] -= lki * y[k]
+			}
+		}
+		y[i] *= 1 / l.At(i, i)
+	}
 }
 
 // SolveGram solves the right-division X = B · G⁻¹ that every ALS update
@@ -100,6 +93,11 @@ func SolveGram(b, g *mat.Dense) *mat.Dense {
 	if err != nil {
 		return b.Mul(PInv(g))
 	}
-	// X Gᵀ = B with G symmetric: solve G Xᵀ = Bᵀ then transpose.
-	return SolveCholesky(l, b.T()).T()
+	// X Gᵀ = B with G symmetric, i.e. G Xᵀ = Bᵀ: each row of X is one
+	// column of Xᵀ, solved in place.
+	x := b.Clone()
+	for r := 0; r < x.Rows; r++ {
+		cholSolveVec(l, x.Row(r))
+	}
+	return x
 }

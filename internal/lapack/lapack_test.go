@@ -1,6 +1,7 @@
 package lapack
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -361,6 +362,73 @@ func TestSolveGramMatchesPInv(t *testing.T) {
 	slow := b.Mul(PInv(gram))
 	if !fast.EqualApprox(slow, 1e-7) {
 		t.Fatal("SolveGram disagrees with pseudoinverse on SPD input")
+	}
+}
+
+// refSolveCholesky is the column-oriented textbook solve of A X = B (B is
+// n×m) that SolveCholesky and SolveGram must reproduce bit for bit.
+func refSolveCholesky(l, b *mat.Dense) *mat.Dense {
+	n, m := l.Rows, b.Cols
+	y := b.Clone()
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			if lik := l.At(i, k); lik != 0 {
+				for c := 0; c < m; c++ {
+					y.Set(i, c, y.At(i, c)-lik*y.At(k, c))
+				}
+			}
+		}
+		inv := 1 / l.At(i, i)
+		for c := 0; c < m; c++ {
+			y.Set(i, c, y.At(i, c)*inv)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		for k := i + 1; k < n; k++ {
+			if lki := l.At(k, i); lki != 0 {
+				for c := 0; c < m; c++ {
+					y.Set(i, c, y.At(i, c)-lki*y.At(k, c))
+				}
+			}
+		}
+		inv := 1 / l.At(i, i)
+		for c := 0; c < m; c++ {
+			y.Set(i, c, y.At(i, c)*inv)
+		}
+	}
+	return y
+}
+
+// TestCholeskySolvesBitIdenticalToReference pins SolveCholesky and
+// SolveGram's row-wise substitution (X = B G⁻¹ without transposed copies)
+// to the column-oriented reference, bit for bit, including a B with zero
+// entries and a G with zero off-diagonals (the skipped-multiply branches).
+func TestCholeskySolvesBitIdenticalToReference(t *testing.T) {
+	g := rng.New(23)
+	same := func(what string, got, want *mat.Dense) {
+		t.Helper()
+		for i, v := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: element %d is %v, want %v", what, i, got.Data[i], v)
+			}
+		}
+	}
+	for _, n := range []int{1, 3, 10, 16} {
+		x := mat.Gaussian(g, n+3, n)
+		gram := x.TMul(x)
+		if n > 2 {
+			gram.Set(2, 0, 0)
+			gram.Set(0, 2, 0)
+		}
+		b := mat.Gaussian(g, 2*n+5, n)
+		b.Set(1, 0, 0)
+		l, err := Cholesky(gram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refSolveCholesky(l, b.T())
+		same(fmt.Sprintf("SolveCholesky n=%d", n), SolveCholesky(l, b.T()), want)
+		same(fmt.Sprintf("SolveGram n=%d", n), SolveGram(b, gram).T(), want)
 	}
 }
 

@@ -327,51 +327,47 @@ func jacobiExtract(u *mat.Dense, sOut []float64, vOut *mat.Dense, w, v [][]float
 }
 
 // completeOrthonormal fills the listed (currently zero) columns of u with
-// unit vectors orthogonal to every other column, via Gram-Schmidt against
-// the canonical basis.
+// unit vectors orthogonal to every other column: each is the canonical basis
+// vector with the largest component outside the span of the columns so far,
+// orthogonalized against them by two Gram-Schmidt passes. While a column is
+// missing that component is at least 1/√m for the best basis vector, so the
+// completion always succeeds (a fixed acceptance threshold does not: with 2
+// of 16 columns missing, every candidate can fall below 0.5).
 func completeOrthonormal(u *mat.Dense, cols []int) {
 	if len(cols) == 0 {
 		return
 	}
 	m := u.Rows
-	next := 0 // next canonical basis vector to try
+	v := make([]float64, m)
+	best := make([]float64, m)
 	for _, j := range cols {
-		for ; next < m; next++ {
-			// candidate e_next, orthogonalized against all columns
-			v := make([]float64, m)
-			v[next] = 1
-			for c := 0; c < u.Cols; c++ {
-				var dot float64
-				for i := 0; i < m; i++ {
-					dot += v[i] * u.At(i, c)
-				}
-				if dot != 0 {
+		bestNorm := -1.0
+		for e := 0; e < m; e++ {
+			for i := range v {
+				v[i] = 0
+			}
+			v[e] = 1
+			for pass := 0; pass < 2; pass++ {
+				for c := 0; c < u.Cols; c++ {
+					var dot float64
 					for i := 0; i < m; i++ {
-						v[i] -= dot * u.At(i, c)
+						dot += v[i] * u.At(i, c)
+					}
+					if dot != 0 {
+						for i := 0; i < m; i++ {
+							v[i] -= dot * u.At(i, c)
+						}
 					}
 				}
 			}
-			// Second orthogonalization pass for numerical safety.
-			for c := 0; c < u.Cols; c++ {
-				var dot float64
-				for i := 0; i < m; i++ {
-					dot += v[i] * u.At(i, c)
-				}
-				if dot != 0 {
-					for i := 0; i < m; i++ {
-						v[i] -= dot * u.At(i, c)
-					}
-				}
+			if norm := mat.Norm2(v); norm > bestNorm {
+				bestNorm = norm
+				copy(best, v)
 			}
-			norm := mat.Norm2(v)
-			if norm > 0.5 {
-				inv := 1 / norm
-				for i := 0; i < m; i++ {
-					u.Set(i, j, v[i]*inv)
-				}
-				next++
-				break
-			}
+		}
+		inv := 1 / bestNorm
+		for i := 0; i < m; i++ {
+			u.Set(i, j, best[i]*inv)
 		}
 	}
 }

@@ -341,11 +341,19 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 	// factor of Y_k), allocated once on slab backings (allocation count
 	// independent of K — the streaming absorb path runs this per batch) and
 	// overwritten in place each iteration. Z_k and P_k become the result's
-	// factored Q. Row kk of svals receives the singular values of slice
-	// kk's Q-update SVD (needed only as scratch).
+	// factored Q; P_k starts as the identity (see the Q update). Row kk of
+	// svals receives the singular values of slice kk's Q-update SVD (needed
+	// only as scratch).
 	z := newRRBlocks(k, r)
 	p := newRRBlocks(k, r)
+	for _, pk := range p {
+		for i := 0; i < r; i++ {
+			pk.Set(i, i, 1)
+		}
+	}
 	tf := newRRBlocks(k, r)
+	// Per-slice terms of the convergence measure, summed in slice order.
+	errTerms := make([]float64, k)
 	svals := mat.New(k, r)
 	svalRows := make([][]float64, k)
 	for kk := range svalRows {
@@ -375,24 +383,37 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		comp.D.TMulInto(dtv, v, pool)
 
 		// --- Update Q_k in factored form (Section III-D) -------------
-		// SVD of F⁽ᵏ⁾ E DᵀV S_k Hᵀ (R×R) gives Z_k Σ_k P_kᵀ;
-		// Q_k = A_k Z_k P_kᵀ is never materialized. Three phases: build
-		// every SVD input, factor them all in one fused Jacobi batch
-		// (parallel across slices only, so results match K sequential
-		// FactorInto calls bit for bit), then form the T_k caches.
+		// The SVD M_k = Z_k Σ_k P_kᵀ of M_k = F⁽ᵏ⁾ E DᵀV S_k Hᵀ (R×R)
+		// gives Q_k = A_k Z_k P_kᵀ, which is never materialized. The SVD
+		// is warm-started from the previous rotation: factoring
+		// M_k P_k = Z_k Σ_k V'_kᵀ and setting P_k ← P_k V'_k leaves
+		// Z_k P_kᵀ the polar factor of M_k, and once the iteration
+		// settles M_k P_k is already nearly column-orthogonal, so the
+		// Jacobi sweeps converge in about half as many passes. P_k starts
+		// as the identity: M·I and I·V' reproduce M and V' exactly, so
+		// the first iteration is the cold factorization of M_k. Three
+		// phases: build every rotated input, factor them all in one fused
+		// Jacobi batch (parallel across slices only, so results match K
+		// sequential FactorInto calls on the rotated inputs bit for bit),
+		// then rotate P_k and form the T_k caches. V'_k lands in the T_k
+		// blocks, which are dead until the last phase overwrites them.
 		pool.ParallelFor(k, func(kk int) {
 			t1 := arena.GetUninit(r, r)
 			t2 := arena.GetUninit(r, r)
 			comp.F[kk].ScaleColumnsInto(t1, comp.E) // F⁽ᵏ⁾E
 			t1.MulInto(t2, dtv, nil)                // · DᵀV
 			t2.ScaleColumnsInto(t2, s[kk])          // · S_k
-			t2.MulTInto(svdIn[kk], h, nil)          // · Hᵀ
+			t2.MulTInto(t1, h, nil)                 // · Hᵀ
+			t1.MulInto(svdIn[kk], p[kk], nil)       // · P_k
 			arena.Put(t1, t2)
 		})
-		lapack.FactorBatch(svdIn, z, svalRows, p, pool, &bws)
+		lapack.FactorBatch(svdIn, z, svalRows, tf, pool, &bws)
 		pool.ParallelFor(k, func(kk int) {
-			// Y_k = P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ; cache T_k = P_k Z_kᵀ F⁽ᵏ⁾.
+			// P_k ← P_k V'_k, then Y_k = P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ; cache
+			// T_k = P_k Z_kᵀ F⁽ᵏ⁾.
 			t2 := arena.GetUninit(r, r)
+			p[kk].MulInto(t2, tf[kk], nil)
+			p[kk].CopyFrom(t2)
 			p[kk].MulTInto(t2, z[kk], nil)
 			t2.MulInto(tf[kk], comp.F[kk], nil)
 			arena.Put(t2)
@@ -432,7 +453,7 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		// --- Compressed convergence check (Section III-E) -------------
 		// e = Σ_k ‖P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ − H S_k Vᵀ‖_F², computed on R×R
 		// Gram matrices only.
-		cur := compressedError2(tf, comp.E, dtv, v, h, s, arena)
+		cur := compressedError2(errTerms, tf, comp.E, dtv, v, h, s, pool, arena)
 		if cfg.TrackConvergence {
 			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
 		}
@@ -578,21 +599,22 @@ func lemma3Into(out *mat.Dense, tf []*mat.Dense, e []float64, dtv, h *mat.Dense,
 //	‖B_k Vᵀ‖² = ⟨B_k (VᵀV), B_k⟩
 //	⟨G_k Dᵀ, B_k Vᵀ⟩ = ⟨G_k (DᵀV)ᵀ… = ⟨G_k, B_k (VᵀD)⟩
 //
-// which lowers the paper's O(JKR²) check to O(JR² + KR³).
-func compressedError2(tf []*mat.Dense, e []float64, dtv, v, h *mat.Dense, s [][]float64, arena *compute.Arena) float64 {
+// which lowers the paper's O(JKR²) check to O(JR² + KR³). The per-slice
+// terms are computed on the pool into terms (length K) and summed in slice
+// order, so the result is bit-identical for every pool width.
+func compressedError2(terms []float64, tf []*mat.Dense, e []float64, dtv, v, h *mat.Dense, s [][]float64, pool *compute.Pool, arena *compute.Arena) float64 {
 	r := v.Cols
 	vtv := arena.GetUninit(r, r)
 	v.GramInto(vtv) // VᵀV, R×R
 	vtd := arena.GetUninit(r, r)
 	dtv.TInto(vtd) // VᵀD, R×R
-	gk := arena.GetUninit(r, r)
-	bk := arena.GetUninit(r, r)
-	bv := arena.GetUninit(r, r)
-	bvd := arena.GetUninit(r, r)
-	var total float64
-	for k, t := range tf {
-		t.ScaleColumnsInto(gk, e)    // T_k E
-		h.ScaleColumnsInto(bk, s[k]) // H S_k
+	pool.ParallelFor(len(tf), func(k int) {
+		gk := arena.GetUninit(r, r)
+		bk := arena.GetUninit(r, r)
+		bv := arena.GetUninit(r, r)
+		bvd := arena.GetUninit(r, r)
+		tf[k].ScaleColumnsInto(gk, e) // T_k E
+		h.ScaleColumnsInto(bk, s[k])  // H S_k
 		normG := gk.FrobNorm2()
 		bk.MulInto(bv, vtv, nil)
 		bk.MulInto(bvd, vtd, nil)
@@ -601,9 +623,14 @@ func compressedError2(tf []*mat.Dense, e []float64, dtv, v, h *mat.Dense, s [][]
 			normB += bv.Data[i] * bk.Data[i]
 			cross += gk.Data[i] * bvd.Data[i]
 		}
-		total += normG + normB - 2*cross
+		terms[k] = normG + normB - 2*cross
+		arena.Put(gk, bk, bv, bvd)
+	})
+	arena.Put(vtv, vtd)
+	var total float64
+	for _, t := range terms {
+		total += t
 	}
-	arena.Put(vtv, vtd, gk, bk, bv, bvd)
 	if total < 0 {
 		total = 0 // guard tiny negative round-off
 	}

@@ -2,6 +2,7 @@ package parafac2
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
@@ -10,6 +11,32 @@ import (
 )
 
 // Edge-case and failure-injection tests for the decomposers.
+
+// assertFiniteOrthonormalQ checks the invariants a degenerate input must not
+// break: every factor entry is finite and every Q_k has orthonormal columns
+// within 1e-10. The degenerate cases give singular Q-update inputs M_k,
+// whose polar factor is not unique, so the iteration may pick any valid one
+// — but it must pick an orthogonal one.
+func assertFiniteOrthonormalQ(t *testing.T, res *Result) {
+	t.Helper()
+	finite := func(what string, xs []float64) {
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("non-finite entry %v in %s", x, what)
+			}
+		}
+	}
+	finite("H", res.H.Data)
+	finite("V", res.V.Data)
+	for k := 0; k < res.K(); k++ {
+		finite("S_k", res.S[k])
+		q := res.Qk(k)
+		finite("Q_k", q.Data)
+		if !q.IsOrthonormalCols(1e-10) {
+			t.Fatalf("Q_%d lost orthonormality", k)
+		}
+	}
+}
 
 func TestSingleSliceTensor(t *testing.T) {
 	// K=1 degenerates PARAFAC2 to a matrix factorization; everything must
@@ -102,20 +129,79 @@ func TestConstantSlices(t *testing.T) {
 
 func TestZeroSlicePresent(t *testing.T) {
 	// One all-zero slice among normal ones: degenerate SVDs inside the
-	// pipeline must be handled.
+	// pipeline must be handled. Under NonnegativeS the zero slice's weights
+	// are clamped to exactly zero, which zeroes its M_k outright.
 	g := rng.New(5)
 	ten := synthPARAFAC2(g, []int{25, 30}, 10, 2, 0)
 	zero := mat.New(15, 10)
-	slices := append(append([]*mat.Dense{}, ten.Slices...), zero)
-	mixed := tensor.MustIrregular(slices)
-	cfg := smallConfig(2)
-	cfg.MaxIters = 15
-	res, err := DPar2(mixed, cfg)
+	mixed := tensor.MustIrregular(append(append([]*mat.Dense{}, ten.Slices...), zero))
+	for _, nonneg := range []bool{false, true} {
+		cfg := smallConfig(2)
+		cfg.MaxIters = 15
+		cfg.NonnegativeS = nonneg
+		res, err := DPar2(mixed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(res.Fitness) || math.IsInf(res.Fitness, 0) {
+			t.Fatalf("non-finite fitness %v with a zero slice (NonnegativeS=%v)", res.Fitness, nonneg)
+		}
+		assertFiniteOrthonormalQ(t, res)
+		if nonneg && !slices.Contains(res.S[2], 0) {
+			t.Fatalf("no weight of the zero slice was clamped to zero: %v", res.S[2])
+		}
+	}
+}
+
+func TestDuplicateSlices(t *testing.T) {
+	// Every slice appears twice: the duplicated Q-update inputs must give
+	// equally valid (orthogonal) factors and an unharmed fit.
+	g := rng.New(12)
+	ten := synthPARAFAC2(g, []int{25, 30, 35}, 10, 3, 0.01)
+	var slices []*mat.Dense
+	for _, s := range ten.Slices {
+		slices = append(slices, s, s.Clone())
+	}
+	cfg := smallConfig(3)
+	cfg.MaxIters = 40
+	res, err := DPar2(tensor.MustIrregular(slices), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsNaN(res.Fitness) || math.IsInf(res.Fitness, 0) {
-		t.Fatalf("non-finite fitness %v with a zero slice", res.Fitness)
+	assertFiniteOrthonormalQ(t, res)
+	if res.Fitness < 0.95 {
+		t.Fatalf("duplicate-slice fitness %v", res.Fitness)
+	}
+}
+
+func TestCollinearColumnsNoRidge(t *testing.T) {
+	// Column rank 2 fitted at a higher rank with no ridge: column j of every
+	// slice is a multiple of one of two base columns, so every M_k is
+	// singular, with up to R−2 zero singular values to complete.
+	for _, r := range []int{3, 16} {
+		g := rng.New(13)
+		var slices []*mat.Dense
+		for _, rows := range []int{20, 30, 25} {
+			a := mat.Gaussian(g, rows, 1)
+			b := mat.Gaussian(g, rows, 1)
+			slices = append(slices, mat.NewFromFunc(rows, 18, func(i, j int) float64 {
+				if j%2 == 0 {
+					return float64(j+1) * a.At(i, 0)
+				}
+				return float64(j+1) * b.At(i, 0)
+			}))
+		}
+		cfg := smallConfig(r)
+		cfg.Ridge = 0
+		cfg.MaxIters = 40
+		res, err := DPar2(tensor.MustIrregular(slices), cfg)
+		if err != nil {
+			t.Fatalf("R=%d: %v", r, err)
+		}
+		assertFiniteOrthonormalQ(t, res)
+		if res.Fitness < 0.99 {
+			t.Fatalf("R=%d: collinear-column fitness %v", r, res.Fitness)
+		}
 	}
 }
 

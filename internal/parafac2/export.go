@@ -48,7 +48,8 @@ func LemmaG3(tf []*mat.Dense, e []float64, dtv, h *mat.Dense, threads int) *mat.
 }
 
 // CompressedErrorGram2 evaluates the Section III-E convergence measure with
-// the O(JR² + KR³) Gram-matrix formulation DPar2 uses internally.
+// the O(JR² + KR³) Gram-matrix formulation DPar2 uses internally (serially;
+// the result is the same for every pool width).
 func CompressedErrorGram2(tf []*mat.Dense, e []float64, dtv, v, h *mat.Dense, s [][]float64) float64 {
-	return compressedError2(tf, e, dtv, v, h, s, compute.Shared())
+	return compressedError2(make([]float64, len(tf)), tf, e, dtv, v, h, s, nil, compute.Shared())
 }

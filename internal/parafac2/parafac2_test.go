@@ -131,6 +131,68 @@ func TestDPar2QOrthonormal(t *testing.T) {
 	}
 }
 
+// TestDPar2WarmRotationStaysOrthogonal pins the drift of the warm-started
+// Q update: P_k is carried across iterations as a product P_k·V'_k, so its
+// rounding accumulates. After 500 iterations every Z_k and P_k must still be
+// orthogonal within 1e-11 and every Q_k column-orthonormal within 1e-10.
+func TestDPar2WarmRotationStaysOrthogonal(t *testing.T) {
+	g := rng.New(61)
+	ten := synthPARAFAC2(g, irregRows(g, 8, 20, 50), 14, 6, 0.05)
+	cfg := smallConfig(6)
+	cfg.MaxIters = 500
+	cfg.Tol = 0
+	res, err := DPar2FromCompressed(Compress(ten, cfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != 500 {
+		t.Fatalf("ran %d iterations, want 500", res.Iters)
+	}
+	_, z, p, ok := res.FactoredQ()
+	if !ok {
+		t.Fatal("DPar2 result is not in factored form")
+	}
+	for k := range z {
+		if !z[k].IsOrthonormalCols(1e-11) || !p[k].IsOrthonormalCols(1e-11) {
+			t.Fatalf("Z_%d or P_%d drifted from orthogonal", k, k)
+		}
+		if !res.Qk(k).IsOrthonormalCols(1e-10) {
+			t.Fatalf("Q_%d not column-orthonormal", k)
+		}
+	}
+}
+
+// TestDPar2FirstIterationIsColdFactorization pins the start of the warm
+// rotation: P_k starts as the identity, so the first iteration's Z_k and
+// P_k are, bit for bit, the cold FactorInto of M_k = F⁽ᵏ⁾ E DᵀV S_k Hᵀ at
+// the initial factors.
+func TestDPar2FirstIterationIsColdFactorization(t *testing.T) {
+	g := rng.New(62)
+	ten := synthPARAFAC2(g, irregRows(g, 6, 20, 50), 14, 5, 0.05)
+	cfg := smallConfig(5)
+	cfg.MaxIters = 1
+	comp := Compress(ten, cfg)
+	res, err := DPar2FromCompressed(comp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, z, p, _ := res.FactoredQ()
+	r := cfg.Rank
+	h, v, s := initCommon(rng.New(cfg.Seed+0x9e37), comp.J, len(comp.A), r)
+	dtv := comp.D.TMul(v)
+	for k := range comp.F {
+		m := comp.F[k].ScaleColumns(comp.E).Mul(dtv).ScaleColumns(s[k]).MulT(h)
+		wantZ, wantP := mat.New(r, r), mat.New(r, r)
+		lapack.FactorInto(m, wantZ, make([]float64, r), wantP, nil)
+		for i := range wantZ.Data {
+			if math.Float64bits(z[k].Data[i]) != math.Float64bits(wantZ.Data[i]) ||
+				math.Float64bits(p[k].Data[i]) != math.Float64bits(wantP.Data[i]) {
+				t.Fatalf("slice %d: first-iteration Z/P differ from the cold factorization", k)
+			}
+		}
+	}
+}
+
 func TestALSQOrthonormal(t *testing.T) {
 	g := rng.New(7)
 	ten := synthPARAFAC2(g, irregRows(g, 5, 25, 60), 15, 3, 0.1)

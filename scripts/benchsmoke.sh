@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Benchmark smoke guard: runs the perf-trajectory benchmarks
-# (BenchmarkDPar2 end-to-end, BenchmarkDPar2IterationAllocs for the
-# allocation budget, BenchmarkDPar2TallSlice for the sharded stage-1 path,
+# (BenchmarkDPar2 end-to-end, BenchmarkDPar2Compress and
+# BenchmarkDPar2Iterate for its per-phase split,
+# BenchmarkDPar2IterationAllocs for the allocation budget, BenchmarkDPar2TallSlice for the sharded stage-1 path,
 # BenchmarkAbsorb for the streaming absorb path, BenchmarkFactorBatch for
 # the fused batched small-SVD sweep, BenchmarkEngineContendedQueue for
 # the admission scheduler, and BenchmarkServiceDecomposeRoundTrip for the
@@ -31,6 +32,10 @@
 #   - BenchmarkTensorDigest (the one sha256 pass behind every cache key and
 #     service tensor_id) is missing or reports no MB/s — a presence check
 #     only, with no budget, because hashing throughput depends on the host;
+#   - the per-phase benches BenchmarkDPar2Compress (compression only) and
+#     BenchmarkDPar2Iterate (iteration only, on a precompressed tensor) are
+#     missing or report no compressed-bytes / iter-ms — presence checks
+#     only, with no time budget, for the same reason;
 #   - a result-cache hit (BenchmarkCacheHit: key hash + cached-file read +
 #     checksum verify + decode, never the method) regresses above its
 #     allocation or latency budget (~105 allocs / ~0.9ms measured when the
@@ -58,7 +63,7 @@ batch_budget="${4:-8}"
 cachehit_budget="${5:-300}"
 cachems_budget="${6:-25}"
 svc_budget="${7:-250}"
-out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit|BenchmarkTensorDigest)$' -benchtime 2x -benchmem .)
+out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2Compress|BenchmarkDPar2Iterate|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit|BenchmarkTensorDigest)$' -benchtime 2x -benchmem .)
 $(go test -run '^$' -bench '^BenchmarkServiceDecomposeRoundTrip$' -benchtime 2x -benchmem ./internal/service/)"
 echo "$out"
 
@@ -144,6 +149,16 @@ $1 ~ /^BenchmarkCacheHit(-[0-9]+)?$/ {
         bad = 1
     }
 }
+$1 ~ /^BenchmarkDPar2Compress(-[0-9]+)?$/ {
+    seen["BenchmarkDPar2Compress"] = 1
+    cb = require(metric("compressed-bytes"), "compressed-bytes")
+    printf "benchsmoke: %s %.0f compressed bytes (presence only, no budget)\n", $1, cb
+}
+$1 ~ /^BenchmarkDPar2Iterate(-[0-9]+)?$/ {
+    seen["BenchmarkDPar2Iterate"] = 1
+    ims = require(metric("iter-ms"), "iter-ms")
+    printf "benchsmoke: %s %.3fms per ALS iteration (presence only, no budget)\n", $1, ims
+}
 $1 ~ /^BenchmarkTensorDigest(-[0-9]+)?$/ {
     seen["BenchmarkTensorDigest"] = 1
     mbs = require(metric("MB/s"), "MB/s")
@@ -179,7 +194,7 @@ $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
 END {
     # Every guarded benchmark must have produced a parseable result line:
     # a rename or an empty run is a hard failure, not a silent skip.
-    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkTensorDigest BenchmarkServiceDecomposeRoundTrip", want, " ")
+    n = split("BenchmarkDPar2 BenchmarkDPar2Compress BenchmarkDPar2Iterate BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkTensorDigest BenchmarkServiceDecomposeRoundTrip", want, " ")
     for (i = 1; i <= n; i++) {
         present = (want[i] in seen)
         gatejson("present", want[i], present ? 1 : 0, 1, present)
