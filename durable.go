@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -137,23 +138,26 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// Cached-entry payload: a small run-metadata header, then the dataio result
-// format. ReadResult deliberately drops run artifacts (fitness, iteration
-// count), but a cache hit stands in for the run itself, so those must come
-// back; the header carries them. Timings stay zero on a hit — the work they
-// would measure never happened.
-const cacheHdrWords = 4
+// Cached-entry payload: a small run-metadata header, then the result's DPF2
+// bytes exactly as dataio.WriteResult writes them. ReadResult deliberately
+// drops run artifacts (fitness, iteration count), but a cache hit stands in
+// for the run itself, so those must come back; the header carries them.
+// Timings stay zero on a hit — the work they would measure never happened.
+const cacheHdrBytes = 4 * 8
 
-// cacheLookup fetches and decodes a cached result; any corruption is handled
+// cacheLookup fetches and decodes a cached result, returning it with its
+// DPF2 bytes (a subslice of the verified entry). The entry is read in full
+// and its checksum checked before it is decoded; any corruption is handled
 // inside state.Cache (entry dropped, reported as a miss).
-func (e *Engine) cacheLookup(key string) (*Result, bool) {
+func (e *Engine) cacheLookup(key string) (*Result, []byte, bool) {
 	var res *Result
-	hit, err := e.cache.Get(key, func(r io.Reader) error {
-		var hdr [cacheHdrWords * 8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return err
+	var raw []byte
+	hit, err := e.cache.Get(key, func(payload []byte) error {
+		if len(payload) < cacheHdrBytes {
+			return io.ErrUnexpectedEOF
 		}
-		dec, err := dataio.ReadResult(r)
+		hdr, body := payload[:cacheHdrBytes], payload[cacheHdrBytes:]
+		dec, err := dataio.ReadResult(bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -161,27 +165,34 @@ func (e *Engine) cacheLookup(key string) (*Result, bool) {
 		dec.FitnessKind = FitnessKind(binary.LittleEndian.Uint64(hdr[8:]))
 		dec.Iters = int(binary.LittleEndian.Uint64(hdr[16:]))
 		dec.PreprocessedBytes = int64(binary.LittleEndian.Uint64(hdr[24:]))
-		res = dec
+		res, raw = dec, body
 		return nil
 	})
 	if err != nil || !hit {
-		return nil, false
+		return nil, nil, false
 	}
-	return res, true
+	return res, raw, true
 }
 
-// cacheStore persists a successful result. Best-effort: a full disk or
-// unwritable cache directory must not fail the decomposition that produced
-// the result, so the error is dropped (the next lookup simply misses). A
-// result whose fitness is not finite (NaN or Inf input, numerical breakdown)
-// is never stored: a repeat of the call must recompute, not replay the
-// failure as a hit.
-func (e *Engine) cacheStore(key string, res *Result) {
+// cacheStore encodes a successful result to DPF2, persists it, and returns
+// the encoding so the caller need not make it again. Storing is best-effort:
+// a full disk or unwritable cache directory must not fail the decomposition
+// that produced the result, so the error is dropped (the next lookup simply
+// misses) and the bytes, which are the same either way, are still returned.
+// A result whose fitness is not finite (NaN or Inf input, numerical
+// breakdown) is never stored, and cacheStore returns nil: a repeat of the
+// call must recompute, not replay the failure as a hit.
+func (e *Engine) cacheStore(key string, res *Result) []byte {
 	if math.IsNaN(res.Fitness) || math.IsInf(res.Fitness, 0) {
-		return
+		return nil
 	}
+	var buf bytes.Buffer
+	if err := dataio.WriteResult(&buf, res); err != nil {
+		return nil
+	}
+	raw := buf.Bytes()
 	_ = e.cache.Put(key, func(w io.Writer) error {
-		var hdr [cacheHdrWords * 8]byte
+		var hdr [cacheHdrBytes]byte
 		binary.LittleEndian.PutUint64(hdr[0:], math.Float64bits(res.Fitness))
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(res.FitnessKind))
 		binary.LittleEndian.PutUint64(hdr[16:], uint64(res.Iters))
@@ -189,8 +200,10 @@ func (e *Engine) cacheStore(key string, res *Result) {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
-		return dataio.WriteResult(w, res)
+		_, err := w.Write(raw)
+		return err
 	})
+	return raw
 }
 
 // noteCache forwards a cache event to the metrics hook when it implements

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataio"
 	"repro/internal/parafac2"
 	"repro/internal/tensor"
 )
@@ -228,6 +230,67 @@ func TestEngineCacheSkipsNonFiniteResults(t *testing.T) {
 	}
 	if hits, misses := eng.CacheCounters(); hits != 0 || misses != 2 {
 		t.Fatalf("CacheCounters = (%d, %d), want (0, 2)", hits, misses)
+	}
+}
+
+// TestEngineJobResultCarriesDPF2: a cached job's JobResult.DPF2 is exactly
+// dataio.WriteResult of its Result — the stored encoding on the miss, the
+// verified entry bytes on the hit — and nil without a cache. A corrupted
+// entry is a miss whose bytes are recomputed, never handed out.
+func TestEngineJobResultCarriesDPF2(t *testing.T) {
+	dir := t.TempDir()
+	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(dir), WithResultCache(1<<22))
+	defer eng.Close()
+	ctx := context.Background()
+	ten := engineTestTensor(16)
+	submit := func() JobResult {
+		t.Helper()
+		jr := <-eng.Submit(ctx, Job{Tensor: ten})
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		var buf bytes.Buffer
+		if err := dataio.WriteResult(&buf, jr.Result); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jr.DPF2, buf.Bytes()) {
+			t.Fatalf("JobResult.DPF2 (%d bytes) is not WriteResult of its Result (%d bytes)", len(jr.DPF2), buf.Len())
+		}
+		return jr
+	}
+	miss := submit()
+	hit := submit()
+	if hits, misses := eng.CacheCounters(); hits != 1 || misses != 1 {
+		t.Fatalf("CacheCounters = (%d, %d), want (1, 1)", hits, misses)
+	}
+	if !bytes.Equal(hit.DPF2, miss.DPF2) {
+		t.Fatal("hit bytes differ from the miss's")
+	}
+
+	entries, err := filepath.Glob(filepath.Join(dir, "cache", "*.cache"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("want one cache entry, found %v (%v)", entries, err)
+	}
+	raw, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 1
+	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again := submit()
+	if hits, misses := eng.CacheCounters(); hits != 1 || misses != 2 {
+		t.Fatalf("corrupt entry: CacheCounters = (%d, %d), want (1, 2)", hits, misses)
+	}
+	if !bytes.Equal(again.DPF2, miss.DPF2) {
+		t.Fatal("bytes after a corrupt entry differ from the original result's")
+	}
+
+	plain := NewEngine(WithBaseConfig(engineTestConfig()))
+	defer plain.Close()
+	if jr := <-plain.Submit(ctx, Job{Tensor: ten}); jr.Err != nil || jr.DPF2 != nil {
+		t.Fatalf("uncached engine: err %v, DPF2 %d bytes, want no bytes", jr.Err, len(jr.DPF2))
 	}
 }
 

@@ -452,7 +452,8 @@ func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*
 	if e.isClosed() {
 		return nil, ErrEngineClosed
 	}
-	return e.decompose(ctx, t, [32]byte{}, opts, "")
+	res, _, err := e.decompose(ctx, t, [32]byte{}, opts, "")
+	return res, err
 }
 
 // decompose is Decompose without the closed check — the path drained jobs
@@ -460,28 +461,30 @@ func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*
 // check is skipped by construction: a drained job was accepted before Close.
 // tenant attributes cache hit/miss events (Decompose passes the default
 // bucket, runJob the job's tenant); digest is the caller-supplied
-// Job.TensorDigest, zero when the cache key must hash t itself.
-func (e *Engine) decompose(ctx context.Context, t *Irregular, digest [32]byte, opts []Option, tenant string) (*Result, error) {
+// Job.TensorDigest, zero when the cache key must hash t itself. The DPF2
+// return is the result's encoding when the cache already holds it in memory
+// (see JobResult.DPF2), nil otherwise.
+func (e *Engine) decompose(ctx context.Context, t *Irregular, digest [32]byte, opts []Option, tenant string) (*Result, []byte, error) {
 	if t == nil {
-		return nil, errors.New("repro: Decompose with nil tensor")
+		return nil, nil, errors.New("repro: Decompose with nil tensor")
 	}
 	ctx, m, js, cfg, err := e.prepareOpen(ctx, opts, false, "Decompose")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	key, cacheable := e.resultCacheKey(m, t, digest, js)
 	if cacheable {
-		if res, ok := e.cacheLookup(key); ok {
+		if res, raw, ok := e.cacheLookup(key); ok {
 			e.noteCache(tenant, true)
-			return res, nil
+			return res, raw, nil
 		}
 		e.noteCache(tenant, false)
 	}
 	res, err := m.Decompose(ctx, t, cfg)
-	if err == nil && cacheable {
-		e.cacheStore(key, res)
+	if err != nil || !cacheable {
+		return res, nil, err
 	}
-	return res, err
+	return res, e.cacheStore(key, res), nil
 }
 
 // Compress runs only the two-stage compression on the shared pool, for
@@ -592,6 +595,14 @@ type JobResult struct {
 	Tag    string
 	Result *Result
 	Err    error
+
+	// DPF2, when non-nil, is Result encoded exactly as dataio.WriteResult
+	// encodes it: on a result-cache hit the entry's payload after its
+	// checksum trailer was verified, on a miss the bytes just stored in the
+	// cache. It is nil when the Engine has no cache, the call was
+	// uncacheable, or the result was not stored. A server can send these
+	// bytes as they are instead of encoding Result again.
+	DPF2 []byte
 }
 
 // Submit runs a Job through the admission-controlled queue and returns a
@@ -649,6 +660,6 @@ func (e *Engine) runJob(pj pendingJob) JobResult {
 	if err := pj.ctx.Err(); err != nil {
 		return JobResult{Tag: pj.job.Tag, Err: err}
 	}
-	res, err := e.decompose(pj.ctx, pj.job.Tensor, pj.job.TensorDigest, pj.job.Options, pj.job.Tenant)
-	return JobResult{Tag: pj.job.Tag, Result: res, Err: err}
+	res, raw, err := e.decompose(pj.ctx, pj.job.Tensor, pj.job.TensorDigest, pj.job.Options, pj.job.Tenant)
+	return JobResult{Tag: pj.job.Tag, Result: res, Err: err, DPF2: raw}
 }

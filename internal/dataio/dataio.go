@@ -30,6 +30,7 @@ package dataio
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -151,8 +152,8 @@ func TensorDigest(t *tensor.Irregular) [sha256.Size]byte {
 // checksum trailer when present (legacy files without one are accepted).
 // Decode failures are reported as *CorruptError.
 func ReadTensor(r io.Reader) (*tensor.Irregular, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	sr := state.NewSumReader(br)
+	sr := state.NewSumReader(buffered(r))
+	fr := floatReader{r: sr}
 	if err := expectMagic(sr, tensorMagic); err != nil {
 		return nil, err
 	}
@@ -177,7 +178,7 @@ func ReadTensor(r io.Reader) (*tensor.Irregular, error) {
 		if ik == 0 || ik > maxDim || ik > maxElems/j {
 			return nil, corruptf("tensor slice height %d", ik)
 		}
-		data, err := readFloatsAlloc(sr, ik*j)
+		data, err := fr.read(ik * j)
 		if err != nil {
 			return nil, corrupt("tensor slice payload", err)
 		}
@@ -288,8 +289,8 @@ func WriteResult(w io.Writer, res *parafac2.Result) error {
 // exactly like the result it was saved from. Decode failures are reported as
 // *CorruptError.
 func ReadResult(r io.Reader) (*parafac2.Result, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	sr := state.NewSumReader(br)
+	sr := state.NewSumReader(buffered(r))
+	fr := floatReader{r: sr}
 	if err := expectMagic(sr, resultMagic); err != nil {
 		return nil, err
 	}
@@ -332,19 +333,19 @@ func ReadResult(r io.Reader) (*parafac2.Result, error) {
 		}
 	}
 	res := &parafac2.Result{}
-	hdata, err := readFloatsAlloc(sr, rank*rank)
+	hdata, err := fr.read(rank * rank)
 	if err != nil {
 		return nil, corrupt("result H payload", err)
 	}
 	res.H = mat.NewFromData(int(rank), int(rank), hdata)
-	vdata, err := readFloatsAlloc(sr, j*rank)
+	vdata, err := fr.read(j * rank)
 	if err != nil {
 		return nil, corrupt("result V payload", err)
 	}
 	res.V = mat.NewFromData(int(j), int(rank), vdata)
 	res.S = make([][]float64, k)
 	for i := range res.S {
-		s, err := readFloatsAlloc(sr, rank)
+		s, err := fr.read(rank)
 		if err != nil {
 			return nil, corrupt("result S payload", err)
 		}
@@ -354,7 +355,7 @@ func ReadResult(r io.Reader) (*parafac2.Result, error) {
 		ms := make([]*mat.Dense, k)
 		for i := range ms {
 			h := heights(i)
-			data, err := readFloatsAlloc(sr, h*rank)
+			data, err := fr.read(h * rank)
 			if err != nil {
 				return nil, corrupt(what, err)
 			}
@@ -506,24 +507,42 @@ func writeFloats(w io.Writer, vals []float64) error {
 	return nil
 }
 
-// readFloatsAlloc reads n little-endian float64s into a freshly allocated
-// slice. Like readUints it allocates as data actually arrives, so an
-// adversarial header claiming billions of elements against a short stream
-// costs at most ~2× the bytes genuinely present (append doubling) plus one
-// chunk, not 8·n bytes up front.
-func readFloatsAlloc(r io.Reader, n uint64) ([]float64, error) {
+// buffered wraps a reader in the decoders' 1 MiB read buffer, unless it
+// already holds its bytes in memory, where the buffer would only add a copy.
+func buffered(r io.Reader) io.Reader {
+	if _, ok := r.(*bytes.Reader); ok {
+		return r
+	}
+	return bufio.NewReaderSize(r, 1<<20)
+}
+
+// floatReader decodes float64 payloads through one byte buffer reused across
+// reads, so a decode allocates its results plus at most one chunk.
+type floatReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// read reads n little-endian float64s into a freshly allocated slice. Like
+// readUints it allocates as data actually arrives, so an adversarial header
+// claiming billions of elements against a short stream costs at most ~2× the
+// bytes genuinely present (append doubling) plus one chunk, not 8·n bytes up
+// front.
+func (f *floatReader) read(n uint64) ([]float64, error) {
 	if n > maxElems {
 		return nil, fmt.Errorf("element count %d exceeds limit", n)
 	}
 	out := make([]float64, 0, min(int(n), floatChunk))
-	buf := make([]byte, 8*min(int(n), floatChunk))
+	if want := 8 * min(int(n), floatChunk); len(f.buf) < want {
+		f.buf = make([]byte, want)
+	}
 	for uint64(len(out)) < n {
 		cnt := min(int(n-uint64(len(out))), floatChunk)
-		if _, err := io.ReadFull(r, buf[:cnt*8]); err != nil {
+		if _, err := io.ReadFull(f.r, f.buf[:cnt*8]); err != nil {
 			return nil, fmt.Errorf("short read: %w", err)
 		}
 		for i := 0; i < cnt; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(f.buf[i*8:])))
 		}
 	}
 	return out, nil

@@ -1,9 +1,10 @@
 package lapack
 
 // dot4 returns xᵀy accumulated with eight independent partial sums. A
-// single accumulator chains one FMA per element at FMA latency; multiple
-// chains hide that latency and run at port throughput (~4x+ on long
-// vectors). The partial sums combine pairwise in a fixed order, so the
+// single accumulator chains one multiply-add per element at add latency (gc
+// emits a separate MULSD and ADDSD under the default GOAMD64=v1, not an
+// FMA); multiple chains hide that latency and run at port throughput (~4x+
+// on long vectors). The partial sums combine pairwise in a fixed order, so the
 // result is deterministic for a given length, though it differs in the last
 // ulp from the single-chain loop (allowed by the kernel contract:
 // accumulation-order changes are fine inside lapack as long as they are

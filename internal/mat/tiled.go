@@ -7,11 +7,15 @@ package mat
 // accumulators) was benchmarked first and lost to the reference kernels on
 // this target: gc keeps only a handful of floating-point chains live before
 // it starts spilling tile accumulators to the stack, and the reference
-// kernels already compile their fused multiply-adds to FMA instructions, so
-// they sit close to the scalar FMA throughput wall. What wins instead —
-// measured on the R×R ALS products and the tall I_k×(R+s) stage-1 products
-// alike — is a smaller register block that cuts memory traffic without
-// exceeding the register budget:
+// kernels already sit close to the scalar multiply-add throughput wall. (The
+// multiply-adds are not fused: under the default GOAMD64=v1, gc emits a
+// MULSD and an ADDSD for each one — go tool objdump shows no VFMADD in
+// mulRange or mulTiledRange. Calling math.FMA instead measured slower on the
+// stage-1 shape, 2.5–4.2 against 4.6–6.3 GFLOP/s, because every call checks
+// the CPU feature at run time; it would also change the rounding, and so the
+// bits.) What wins instead — measured on the R×R ALS products and the tall
+// I_k×(R+s) stage-1 products alike — is a smaller register block that cuts
+// memory traffic without exceeding the register budget:
 //
 //   - mulTiledRange    2 output rows per pass, k unrolled ×2: the b-row
 //     traffic is halved and each b load feeds two accumulator chains.
@@ -49,8 +53,8 @@ package mat
 //     better.
 //   - MulT: the 2×4 dot tile wins when the inner dimension is rank-sized
 //     (~10-17% for inner ≤ MulTMaxInner); for long inner dots the reference
-//     1×4 kernel already saturates the FMA ports and the second a-row
-//     stream costs more than it saves.
+//     1×4 kernel already saturates the floating-point ports and the second
+//     a-row stream costs more than it saves.
 //   - Gram: the fused 2-row kernel wins everywhere measured (~2x), so it
 //     needs only two input rows.
 type sizingTable struct {
@@ -95,6 +99,7 @@ func useTiledGram(rows int) bool {
 // pass with the k loop unrolled by two. Per output element the adds happen
 // one per k in increasing k order — bitwise identical to mulRange. The odd
 // trailing row falls back to the reference kernel.
+//
 //repro:noalloc
 func mulTiledRange(out, m, b *Dense, lo, hi int) {
 	n := b.Cols
@@ -145,6 +150,7 @@ func mulTiledRange(out, m, b *Dense, lo, hi int) {
 // structure of tmulRange with two output rows (columns of m) fused per pass.
 // Same ordered adds per element as tmulRange; the sub-quad remainder reuses
 // the reference kernel.
+//
 //repro:noalloc
 func tmulTiledRange(out, m, b *Dense, lo, hi int) {
 	n := b.Cols
@@ -204,6 +210,7 @@ func tmulTiledRange(out, m, b *Dense, lo, hi int) {
 // Each output element remains a single dot accumulated in increasing k
 // order — bitwise identical to mulTRange. The odd trailing row falls back
 // to the reference kernel.
+//
 //repro:noalloc
 func mulTTiledRange(out, m, b *Dense, lo, hi int) {
 	c := m.Cols
@@ -255,6 +262,7 @@ func mulTTiledRange(out, m, b *Dense, lo, hi int) {
 // [lo, hi), two rows fused per pass. Per element: one ordered add per input
 // row in increasing row order, exactly as the reference triangle loop, so
 // GramInto keeps its documented bitwise agreement with serial TMul(m, m).
+//
 //repro:noalloc
 func gramTiledUpper(out, m *Dense, lo, hi int) {
 	n := m.Cols

@@ -73,7 +73,7 @@ func ALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, erro
 
 		// Convergence: full reconstruction error (this is what makes the
 		// baseline's per-iteration cost high — Section IV-B).
-		cur := reconstructionError2(t, q, h, v, s, pool)
+		cur, _ := reconstructionError2(t, q, h, v, s, pool, false)
 		if cfg.TrackConvergence {
 			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
 		}
@@ -146,10 +146,16 @@ func cpSweep(y *tensor.Dense3, h, v *mat.Dense, s [][]float64, cfg Config) (hOut
 }
 
 // reconstructionError2 computes Σ_k ‖X_k − Q_k H S_k Vᵀ‖_F², touching every
-// input element — parallel over slices, reduced in slice order.
-func reconstructionError2(t *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64, pool *compute.Pool) float64 {
+// input element — parallel over slices, reduced in slice order. With
+// withNorm it also returns Σ_k ‖X_k‖_F² from the same pass (fitness needs
+// it; the ALS convergence checks do not, and get 0).
+func reconstructionError2(t *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64, pool *compute.Pool, withNorm bool) (err2, norm2 float64) {
 	arena := compute.Shared()
 	errs := make([]float64, t.K())
+	var norms []float64
+	if withNorm {
+		norms = make([]float64, t.K())
+	}
 	pool.ParallelFor(t.K(), func(kk int) {
 		xk := t.Slices[kk]
 		hs := arena.GetUninit(h.Rows, h.Cols)
@@ -160,11 +166,10 @@ func reconstructionError2(t *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, 
 		qh.MulTInto(rec, v, nil)
 		d := xk.FrobDist(rec)
 		errs[kk] = d * d
+		if withNorm {
+			norms[kk] = xk.FrobNorm2()
+		}
 		arena.Put(hs, qh, rec)
 	})
-	var sum float64
-	for _, e := range errs {
-		sum += e
-	}
-	return sum
+	return sumInOrder(errs), sumInOrder(norms)
 }

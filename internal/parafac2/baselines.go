@@ -101,7 +101,7 @@ func RDALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 		// Convergence on the FULL reconstruction error (the defining
 		// inefficiency of RD-ALS's iteration phase).
 		vFull := uc.Mul(vTilde)
-		cur := reconstructionError2(t, q, h, vFull, s, pool)
+		cur, _ := reconstructionError2(t, q, h, vFull, s, pool, false)
 		if cfg.TrackConvergence {
 			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
 		}
@@ -188,7 +188,7 @@ func SPARTanCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, 
 			return nil, err
 		}
 
-		cur := reconstructionError2(t, q, h, v, s, pool)
+		cur, _ := reconstructionError2(t, q, h, v, s, pool, false)
 		if cfg.TrackConvergence {
 			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
 		}

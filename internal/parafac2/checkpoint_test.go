@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -245,4 +246,65 @@ func TestCheckpointAtomicFileRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamsEqualBits(t, s, back)
+}
+
+// restoreAllocCap bounds what RestoreStream may allocate for an n-byte input.
+// The reader's caps: its 1 MiB read buffer; the slice-height table, reserved
+// up to 2^16 entries (512 KiB) before the heights are read; the float chunk
+// and its byte buffer of the one read that fails (the sticky error stops
+// every later read), 1 MiB; and, for everything that did decode, a small
+// multiple of the bytes actually present (append doubling plus per-matrix
+// headers, which dominate for 1×1 blocks). A header that makes the reader
+// reserve memory for what it merely claims breaks this bound.
+func restoreAllocCap(n int) uint64 { return 3<<20 + 16*uint64(n) }
+
+// FuzzRestoreStream mutates valid DPC2 checkpoints and their truncations.
+// RestoreStream must never panic or allocate past restoreAllocCap; every
+// rejection is an ErrCheckpoint error with a nil stream, and every accepted
+// input is a real stream whose own checkpoint reproduces the bytes it was
+// read from.
+func FuzzRestoreStream(f *testing.F) {
+	g := rng.New(95)
+	full := synthPARAFAC2(g, []int{30, 40, 35}, 12, 3, 0.02)
+	s, err := NewStreamingDPar2(full, smallConfig(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	for _, cut := range []int{0, len(checkpointMagic), 12, 100, len(valid) / 3, len(valid) / 2, len(valid) - state.TrailerSize, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := RestoreStream(bytes.NewReader(data), smallConfig(3))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, restoreAllocCap(len(data)); got > limit {
+			t.Fatalf("restoring %d bytes allocated %d bytes, cap %d", len(data), got, limit)
+		}
+		if err != nil {
+			if st != nil {
+				t.Fatalf("rejection %v returned a stream", err)
+			}
+			if !errors.Is(err, ErrCheckpoint) {
+				t.Fatalf("rejection is not ErrCheckpoint: %T %v", err, err)
+			}
+			return
+		}
+		if st == nil {
+			t.Fatal("accepted input returned a nil stream")
+		}
+		var again bytes.Buffer
+		if err := st.Checkpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, again.Bytes()) {
+			t.Fatal("restored stream does not checkpoint back to the bytes it was read from")
+		}
+	})
 }

@@ -410,17 +410,18 @@ func FitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
 
 // fitnessWith evaluates the fitness with slice reconstructions parallelized
 // over pool and materialized in arena scratch (see reconstructionError2).
-// Per-slice errors are reduced in slice order, so the result is
-// deterministic for any pool width. Factored results reconstruct through the
-// small factors (factoredError2) without ever materializing a dense Q_k.
+// The same per-slice pass measures ‖X_k‖_F², so the input is read once, on
+// the pool. Per-slice terms are reduced in slice order, so the result is
+// deterministic for any pool width and ‖X‖² has exactly t.Norm2()'s bits.
+// Factored results reconstruct through the small factors (factoredError2)
+// without ever materializing a dense Q_k.
 func fitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
-	var errSum float64
+	var errSum, n float64
 	if r.Factored() {
-		errSum = factoredError2(t, r.fq, r.H, r.V, r.S, pool)
+		errSum, n = factoredError2(t, r.fq, r.H, r.V, r.S, pool)
 	} else {
-		errSum = reconstructionError2(t, r.q, r.H, r.V, r.S, pool)
+		errSum, n = reconstructionError2(t, r.q, r.H, r.V, r.S, pool, true)
 	}
-	n := t.Norm2()
 	if n == 0 {
 		return 1
 	}
@@ -430,10 +431,11 @@ func fitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
 // factoredError2 is reconstructionError2 for factored results: per slice,
 // Q_k (H S_k) is folded right-to-left (A_k · (Z_k (P_kᵀ (H S_k)))), so the
 // only I_k-sized intermediates are the Q_k H S_k product and the
-// reconstruction itself — both arena scratch. Reduced in slice order.
-func factoredError2(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]float64, pool *compute.Pool) float64 {
+// reconstruction itself — both arena scratch. It also returns Σ_k ‖X_k‖_F²
+// from the same pass. Both are reduced in slice order.
+func factoredError2(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]float64, pool *compute.Pool) (err2, norm2 float64) {
 	arena := compute.Shared()
-	errs := make([]float64, t.K())
+	errs, norms := make([]float64, t.K()), make([]float64, t.K())
 	pool.ParallelFor(t.K(), func(kk int) {
 		xk := t.Slices[kk]
 		hs := arena.GetUninit(h.Rows, h.Cols)
@@ -444,11 +446,19 @@ func factoredError2(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]f
 		qh.MulTInto(rec, v, nil)
 		d := xk.FrobDist(rec)
 		errs[kk] = d * d
+		norms[kk] = xk.FrobNorm2()
 		arena.Put(hs, qh, rec)
 	})
+	return sumInOrder(errs), sumInOrder(norms)
+}
+
+// sumInOrder adds per-slice terms in slice order — the one reduction order
+// the error and norm passes use, so their sums are the same for any pool
+// width and match a serial loop over the slices.
+func sumInOrder(terms []float64) float64 {
 	var sum float64
-	for _, e := range errs {
-		sum += e
+	for _, x := range terms {
+		sum += x
 	}
 	return sum
 }

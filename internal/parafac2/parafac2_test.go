@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/lapack"
 	"repro/internal/mat"
 	"repro/internal/rng"
@@ -417,6 +418,45 @@ func TestFitnessBounds(t *testing.T) {
 	}
 	if res.Fitness > 1+1e-12 {
 		t.Fatalf("fitness %v > 1", res.Fitness)
+	}
+}
+
+// TestFitnessFoldedNormBitIdentical: the fitness pass measures ‖X‖² per
+// slice on the pool instead of calling t.Norm2() afterwards. The folded norm
+// must carry exactly t.Norm2()'s bits for any pool width, on the factored
+// (DPar2) and the dense (ALS) reconstruction path alike, so Fitness keeps
+// its bits.
+func TestFitnessFoldedNormBitIdentical(t *testing.T) {
+	g := rng.New(18)
+	ten := synthPARAFAC2(g, irregRows(g, 7, 20, 90), 13, 3, 0.1)
+	want := math.Float64bits(ten.Norm2())
+	dp, err := DPar2(ten, smallConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	als, err := ALS(ten, smallConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := []*compute.Pool{nil, compute.NewPool(1), compute.NewPool(2), compute.NewPool(5)}
+	for _, p := range pools[1:] {
+		defer p.Close()
+	}
+	for i, p := range pools {
+		e, n := factoredError2(ten, dp.fq, dp.H, dp.V, dp.S, p)
+		if math.Float64bits(n) != want {
+			t.Fatalf("pool %d: factored pass ‖X‖² %v, t.Norm2() %v", i, n, ten.Norm2())
+		}
+		if got := FitnessWith(ten, dp, p); math.Float64bits(got) != math.Float64bits(1-e/ten.Norm2()) {
+			t.Fatalf("pool %d: DPar2 fitness %v, want %v", i, got, 1-e/ten.Norm2())
+		}
+		e, n = reconstructionError2(ten, als.q, als.H, als.V, als.S, p, true)
+		if math.Float64bits(n) != want {
+			t.Fatalf("pool %d: dense pass ‖X‖² %v, t.Norm2() %v", i, n, ten.Norm2())
+		}
+		if got := FitnessWith(ten, als, p); math.Float64bits(got) != math.Float64bits(1-e/ten.Norm2()) {
+			t.Fatalf("pool %d: ALS fitness %v, want %v", i, got, 1-e/ten.Norm2())
+		}
 	}
 }
 

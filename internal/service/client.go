@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"net/url"
 	"strings"
@@ -44,49 +45,65 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("service: %s (%d): %s", e.Body.Code, e.Body.Status, e.Body.Message)
 }
 
-// do issues one request. A JSON in is marshalled as the body; a non-nil out
-// decodes a 2xx JSON reply; a *[]byte out captures a raw binary reply.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// send issues one request and returns its 2xx response, whose body the
+// caller must close. A JSON in is marshalled as the body and a []byte in is
+// sent as a binary body; accept, when set, becomes the Accept header. A
+// non-2xx reply is decoded into an *APIError.
+func (c *Client) send(ctx context.Context, method, path string, in any, accept string) (*http.Response, error) {
 	var body io.Reader
 	contentType := ""
 	switch v := in.(type) {
 	case nil:
 	case []byte:
 		body = bytes.NewReader(v)
-		contentType = "application/octet-stream"
+		contentType = ContentTypeBinary
 	default:
 		raw, err := json.Marshal(v)
 		if err != nil {
-			return fmt.Errorf("service client: marshal request: %w", err)
+			return nil, fmt.Errorf("service client: marshal request: %w", err)
 		}
 		body = bytes.NewReader(raw)
-		contentType = "application/json"
+		contentType = ContentTypeJSON
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return fmt.Errorf("service client: %w", err)
+		return nil, fmt.Errorf("service client: %w", err)
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("service client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("service client: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
 		var er ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error.Code == "" {
 			er.Error = ErrorBody{Code: CodeInternal, Status: resp.StatusCode,
 				Message: fmt.Sprintf("%s %s: HTTP %d", method, path, resp.StatusCode)}
 		}
-		return &APIError{Body: er.Error, RetryAfter: resp.Header.Get("Retry-After")}
+		return nil, &APIError{Body: er.Error, RetryAfter: resp.Header.Get("Retry-After")}
 	}
+	return resp, nil
+}
+
+// do issues one request through send. A non-nil out decodes a 2xx JSON
+// reply; a *[]byte out captures a raw binary reply.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in, "")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
 	switch v := out.(type) {
 	case nil:
 		return nil
 	case *[]byte:
-		raw, err := io.ReadAll(resp.Body)
+		raw, err := readBody(resp)
 		if err != nil {
 			return fmt.Errorf("service client: read %s: %w", path, err)
 		}
@@ -98,6 +115,21 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		return nil
 	}
+}
+
+// readBody reads a whole binary reply into one buffer sized from its
+// Content-Length, falling back to growing reads when the length is unknown
+// or larger than any request body the server accepts.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > DefaultMaxBodyBytes {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Health checks /v1/healthz.
@@ -152,11 +184,26 @@ func parseFitnessKind(s string) repro.FitnessKind {
 }
 
 // Decompose runs one synchronous decomposition and decodes the factors. The
-// raw reply (canonical Spec, metadata, DPF2 bytes) comes back alongside.
+// raw reply (canonical Spec, metadata, DPF2 bytes) comes back alongside. It
+// asks for the binary reply form and reads whichever form the server sends,
+// so it also works against a server that answers only in JSON.
 func (c *Client) Decompose(ctx context.Context, req DecomposeRequest) (*repro.Result, DecomposeResponse, error) {
-	var out DecomposeResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/decompose", req, &out); err != nil {
+	const path = "/v1/decompose"
+	resp, err := c.send(ctx, http.MethodPost, path, req, ContentTypeBinary)
+	if err != nil {
 		return nil, DecomposeResponse{}, err
+	}
+	defer resp.Body.Close()
+	var out DecomposeResponse
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt == ContentTypeBinary {
+		if err := json.Unmarshal([]byte(resp.Header.Get(HeaderDecomposeMeta)), &out); err != nil {
+			return nil, DecomposeResponse{}, fmt.Errorf("service client: decode %s header: %w", HeaderDecomposeMeta, err)
+		}
+		if out.ResultDPF2, err = readBody(resp); err != nil {
+			return nil, DecomposeResponse{}, fmt.Errorf("service client: read %s: %w", path, err)
+		}
+	} else if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, DecomposeResponse{}, fmt.Errorf("service client: decode %s reply: %w", path, err)
 	}
 	res, err := decodeResult(out.ResultDPF2, out.Meta)
 	if err != nil {

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -289,7 +291,7 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -454,12 +456,65 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jr.Err)
 		return
 	}
-	raw, err := encodeResult(jr.Result)
+	raw, err := resultDPF2(jr)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DecomposeResponse{Spec: spec, Meta: metaOf(jr.Result), ResultDPF2: raw})
+	resp := DecomposeResponse{Spec: spec, Meta: metaOf(jr.Result)}
+	if !wantsDPF2(r) {
+		resp.ResultDPF2 = raw
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	meta, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, fmt.Errorf("service: encode reply metadata: %w", err))
+		return
+	}
+	w.Header().Set(HeaderDecomposeMeta, string(meta))
+	writeDPF2(w, raw)
+}
+
+// resultDPF2 returns a finished job's DPF2 bytes: the Engine's own when it
+// has them (a verified cache entry on a hit, the stored encoding on a miss),
+// otherwise a fresh encoding of the result.
+func resultDPF2(jr repro.JobResult) ([]byte, error) {
+	if jr.DPF2 != nil {
+		return jr.DPF2, nil
+	}
+	return encodeResult(jr.Result)
+}
+
+// wantsDPF2 reports whether a decompose request asks for the binary reply:
+// its Accept header names application/octet-stream with a non-zero quality.
+// Anything else, including no Accept header, gets the JSON reply.
+func wantsDPF2(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(v, ",") {
+			mt, params, err := mime.ParseMediaType(part)
+			if err != nil || mt != ContentTypeBinary {
+				continue
+			}
+			if q, ok := params["q"]; ok {
+				if qv, err := strconv.ParseFloat(q, 64); err != nil || qv <= 0 {
+					continue
+				}
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// writeDPF2 sends DPF2 bytes as the whole body with their exact length, so a
+// client can read them into one buffer of the right size.
+func writeDPF2(w http.ResponseWriter, raw []byte) {
+	h := w.Header()
+	h.Set("Content-Type", ContentTypeBinary)
+	h.Set("Content-Length", strconv.Itoa(len(raw)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(raw)
 }
 
 // ----- async jobs ------------------------------------------------------------
@@ -472,14 +527,17 @@ func (s *Server) nextID(prefix string) string {
 	return id
 }
 
-// finishJob records a job's outcome and releases its context.
+// finishJob records a job's outcome and releases its context. Any encoding
+// happens before s.mu is taken: a full DPF2 encode under the lock would
+// stall every tensor, job and stream lookup behind it.
 func (s *Server) finishJob(rec *jobRec, jr repro.JobResult) {
+	var raw []byte
+	err := jr.Err
+	if err == nil {
+		raw, err = resultDPF2(jr)
+	}
 	s.mu.Lock()
-	if jr.Err != nil {
-		rec.status = JobFailed
-		body := errBodyFor(jr.Err)
-		rec.errBody = &body
-	} else if raw, err := encodeResult(jr.Result); err != nil {
+	if err != nil {
 		rec.status = JobFailed
 		body := errBodyFor(err)
 		rec.errBody = &body
@@ -589,9 +647,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	switch status {
 	case JobDone:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(raw)
+		writeDPF2(w, raw)
 	case JobFailed:
 		writeJSON(w, errBody.Status, ErrorResponse{Error: *errBody})
 	default:
@@ -832,7 +888,5 @@ func (s *Server) handleStreamResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
+	writeDPF2(w, raw)
 }

@@ -122,13 +122,29 @@ type ResultMeta struct {
 }
 
 // DecomposeResponse is the synchronous decomposition reply: the resolved
-// canonical Spec, run metadata, and the factors as DPF2 bytes (base64 in
-// JSON) — decode with dataio.ReadResult (or Client.Decompose, which does).
+// canonical Spec, run metadata, and the factors as DPF2 bytes — decode with
+// dataio.ReadResult (or Client.Decompose, which does). It travels in one of
+// two forms, chosen by the request's Accept header:
+//
+//   - JSON (the default): this struct as the body, ResultDPF2 in base64;
+//   - binary (Accept: application/octet-stream): the body is exactly the
+//     DPF2 bytes, and this struct without ResultDPF2 travels as JSON in the
+//     HeaderDecomposeMeta response header.
 type DecomposeResponse struct {
 	Spec       repro.Spec `json:"spec"`
 	Meta       ResultMeta `json:"meta"`
-	ResultDPF2 []byte     `json:"result_dpf2"`
+	ResultDPF2 []byte     `json:"result_dpf2,omitempty"`
 }
+
+// Media types of the service's bodies — JSON envelopes, and raw DPT2/DPF2
+// bytes (uploads, absorbs, results, the binary decompose reply) — and the
+// response header that carries the binary decompose reply's Spec and
+// metadata.
+const (
+	ContentTypeJSON     = "application/json"
+	ContentTypeBinary   = "application/octet-stream"
+	HeaderDecomposeMeta = "X-Decompose-Meta"
+)
 
 // Job lifecycle states. Jobs are in-memory request state, not durable
 // system state: a restarted server has no jobs (streams, by contrast,

@@ -137,11 +137,13 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+cacheSuffix)
 }
 
-// Get looks up key and, on a hit, streams the entry's payload (checksum
-// verified) into read. It returns (true, nil) on a verified hit, (false, nil)
-// on a miss, and (false, err) only when read itself fails. An entry that is
-// unreadable or corrupt counts as a miss and is dropped from the cache.
-func (c *Cache) Get(key string, read func(r io.Reader) error) (bool, error) {
+// Get looks up key and, on a hit, reads the whole entry, verifies its
+// checksum trailer and passes the verified payload to use, which may keep it
+// (the slice is freshly allocated and never reused). It returns (true, nil)
+// on a verified hit that use accepted and (false, nil) on a miss. An entry
+// that is unreadable, corrupt, or rejected by use counts as a miss and is
+// dropped from the cache; use never sees bytes that failed verification.
+func (c *Cache) Get(key string, use func(payload []byte) error) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -149,36 +151,16 @@ func (c *Cache) Get(key string, read func(r io.Reader) error) (bool, error) {
 		c.misses++
 		return false, nil
 	}
-	f, err := os.Open(c.path(key))
+	raw, err := os.ReadFile(c.path(key)) // one buffer, sized from the file
+	if err == nil {
+		raw, err = SplitTrailer(raw)
+	}
+	if err == nil {
+		err = use(raw)
+	}
 	if err != nil {
-		c.dropLocked(el)
-		c.misses++
-		return false, nil
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil || info.Size() < int64(TrailerSize) {
-		c.dropLocked(el)
-		c.misses++
-		return false, nil
-	}
-	// Bound the callback to the payload (everything before the trailer) so it
-	// may freely ReadAll or buffer without consuming trailer bytes.
-	sr := NewSumReader(f)
-	lr := io.LimitReader(sr, info.Size()-int64(TrailerSize))
-	rerr := read(lr)
-	if rerr == nil {
-		// Drain any payload the callback left unread so the digest covers the
-		// whole payload, then check the trailer.
-		if _, derr := io.Copy(io.Discard, lr); derr != nil {
-			rerr = derr
-		} else {
-			rerr = sr.VerifyTrailer()
-		}
-	}
-	if rerr != nil {
-		// The entry is corrupt on disk or the decoder rejected it: drop it
-		// and report a miss, not an error.
+		// The entry is unreadable or corrupt on disk, or the decoder rejected
+		// it: drop it and report a miss, not an error.
 		c.dropLocked(el)
 		c.misses++
 		return false, nil

@@ -105,10 +105,31 @@ func (s *SumReader) VerifyTrailer() error {
 	if err != nil {
 		return fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrChecksum, n, TrailerSize)
 	}
-	if string(buf[:len(trailerMagic)]) != trailerMagic {
-		return fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, buf[:len(trailerMagic)])
+	return matchTrailer(buf[:], want)
+}
+
+// SplitTrailer is VerifyTrailer for a payload already in memory: b is the
+// payload followed by its trailer. It returns the payload (a subslice of b)
+// when the trailer is well formed and matches, and an error wrapping
+// ErrChecksum otherwise — including when b is too short to hold a trailer.
+func SplitTrailer(b []byte) ([]byte, error) {
+	n := len(b) - TrailerSize
+	if n < 0 {
+		return nil, fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrChecksum, len(b), TrailerSize)
 	}
-	if !bytes.Equal(buf[len(trailerMagic):], want) {
+	sum := sha256.Sum256(b[:n])
+	if err := matchTrailer(b[n:], sum[:]); err != nil {
+		return nil, err
+	}
+	return b[:n], nil
+}
+
+// matchTrailer checks one TrailerSize-byte trailer against a payload digest.
+func matchTrailer(trailer, want []byte) error {
+	if string(trailer[:len(trailerMagic)]) != trailerMagic {
+		return fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, trailer[:len(trailerMagic)])
+	}
+	if !bytes.Equal(trailer[len(trailerMagic):], want) {
 		return fmt.Errorf("%w: payload digest does not match trailer", ErrChecksum)
 	}
 	return nil

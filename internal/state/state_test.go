@@ -225,10 +225,9 @@ func putEntry(t *testing.T, c *Cache, key string, payload []byte) {
 func getEntry(t *testing.T, c *Cache, key string) ([]byte, bool) {
 	t.Helper()
 	var out []byte
-	ok, err := c.Get(key, func(r io.Reader) error {
-		b, err := io.ReadAll(r)
-		out = b
-		return err
+	ok, err := c.Get(key, func(payload []byte) error {
+		out = payload
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,9 @@
 # BenchmarkDPar2IterationAllocs for the allocation budget, BenchmarkDPar2TallSlice for the sharded stage-1 path,
 # BenchmarkAbsorb for the streaming absorb path, BenchmarkFactorBatch for
 # the fused batched small-SVD sweep, BenchmarkEngineContendedQueue for
-# the admission scheduler, and BenchmarkServiceDecomposeRoundTrip for the
-# HTTP front end's transport overhead) and fails when
+# the admission scheduler, BenchmarkServiceDecomposeRoundTrip for the
+# HTTP front end's transport overhead, and BenchmarkServiceCacheHit for the
+# HTTP cache-hit reply in its binary and JSON forms) and fails when
 #   - any expected benchmark is missing from the output or its metrics do
 #     not parse — a renamed benchmark or an empty result line is a hard
 #     failure, never a vacuous pass;
@@ -36,6 +37,11 @@
 #     BenchmarkDPar2Iterate (iteration only, on a precompressed tensor) are
 #     missing or report no compressed-bytes / iter-ms — presence checks
 #     only, with no time budget, for the same reason;
+#   - BenchmarkServiceCacheHit (a loopback HTTP cache hit on a stock-sized
+#     result, binary and JSON reply forms; the bench itself fails when the
+#     two forms carry different bytes) is missing or reports no binary-ms /
+#     json-ms — a presence check only, with no time budget, for the same
+#     reason;
 #   - a result-cache hit (BenchmarkCacheHit: key hash + cached-file read +
 #     checksum verify + decode, never the method) regresses above its
 #     allocation or latency budget (~105 allocs / ~0.9ms measured when the
@@ -64,7 +70,7 @@ cachehit_budget="${5:-300}"
 cachems_budget="${6:-25}"
 svc_budget="${7:-250}"
 out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2Compress|BenchmarkDPar2Iterate|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit|BenchmarkTensorDigest)$' -benchtime 2x -benchmem .)
-$(go test -run '^$' -bench '^BenchmarkServiceDecomposeRoundTrip$' -benchtime 2x -benchmem ./internal/service/)"
+$(go test -run '^$' -bench '^(BenchmarkServiceDecomposeRoundTrip|BenchmarkServiceCacheHit)$' -benchtime 2x -benchmem ./internal/service/)"
 echo "$out"
 
 echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" '
@@ -175,6 +181,12 @@ $1 ~ /^BenchmarkServiceDecomposeRoundTrip(-[0-9]+)?$/ {
         bad = 1
     }
 }
+$1 ~ /^BenchmarkServiceCacheHit(-[0-9]+)?$/ {
+    seen["BenchmarkServiceCacheHit"] = 1
+    bms = require(metric("binary-ms"), "binary-ms")
+    jms = require(metric("json-ms"), "json-ms")
+    printf "benchsmoke: %s %.2fms binary, %.2fms JSON per HTTP cache hit (presence only, no budget)\n", $1, bms, jms
+}
 $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
     seen["BenchmarkEngineContendedQueue"] = 1
     hi = require(metric("hi-qwait-ms"), "hi-qwait-ms")
@@ -194,7 +206,7 @@ $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
 END {
     # Every guarded benchmark must have produced a parseable result line:
     # a rename or an empty run is a hard failure, not a silent skip.
-    n = split("BenchmarkDPar2 BenchmarkDPar2Compress BenchmarkDPar2Iterate BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkTensorDigest BenchmarkServiceDecomposeRoundTrip", want, " ")
+    n = split("BenchmarkDPar2 BenchmarkDPar2Compress BenchmarkDPar2Iterate BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkTensorDigest BenchmarkServiceDecomposeRoundTrip BenchmarkServiceCacheHit", want, " ")
     for (i = 1; i <= n; i++) {
         present = (want[i] in seen)
         gatejson("present", want[i], present ? 1 : 0, 1, present)
